@@ -52,12 +52,11 @@ int main(int argc, char** argv) {
     const dag::CircuitDag d2(fused);
     const auto p2 = partition::make_partition(d2, opt);
 
-    sv::HierarchicalSimulator hier;
     Timer t3;
-    { sv::StateVector s(c.num_qubits()); hier.run(c, p1, s); }
+    { sv::StateVector s(c.num_qubits()); sv::run_hierarchical(c, p1, s); }
     const double hier_s = t3.seconds();
     Timer t4;
-    { sv::StateVector s(c.num_qubits()); hier.run(fused, p2, s); }
+    { sv::StateVector s(c.num_qubits()); sv::run_hierarchical(fused, p2, s); }
     const double hier_fused_s = t4.seconds();
 
     bench::print_row({e.meta.name, std::to_string(c.num_gates()),

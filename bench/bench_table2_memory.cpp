@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
       const auto traffic = sv::model_traffic(c, parts, cache);
       sv::StateVector state(c.num_qubits());
       Timer t;
-      sv::HierarchicalSimulator().run(c, parts, state);
+      sv::run_hierarchical(c, parts, state);
       const double exec = t.seconds();
       using TB = sv::TrafficBreakdown;
       bench::print_row({e.meta.name, partition::strategy_name(strategy),

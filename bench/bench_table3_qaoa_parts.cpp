@@ -43,9 +43,10 @@ int main(int argc, char** argv) {
     std::size_t total_gates = 0;
     for (std::size_t i = 0; i < parts.num_parts(); ++i) {
       const auto& part = parts.parts[i];
-      sv::HierarchicalStats stats;
+      partition::Partitioning one;
+      one.parts.push_back(part);
       Timer t;
-      sv::run_part(c, part.gates, part.qubits, state, stats);
+      sv::run_hierarchical(c, one, state);
       const double ms = t.millis();
       total_ms += ms;
       total_gates += part.gates.size();

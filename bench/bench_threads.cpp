@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
       parallel::set_num_threads(t);
       sv::StateVector state(c.num_qubits());
       Timer timer;
-      sv::HierarchicalSimulator().run(c, parts, state);
+      sv::run_hierarchical(c, parts, state);
       row.push_back(bench::fmt(timer.seconds(), 4));
     }
     bench::print_row(row, {10, 9, 9, 9, 9});

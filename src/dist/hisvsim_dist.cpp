@@ -217,10 +217,8 @@ DistRunReport execute_plan(const DistPlan& plan, DistState& state,
               for (const Gate& g : local.gates())
                 sv::apply_gate(state.local(rank), g, kops);
             } else {
-              sv::HierarchicalStats scratch;  // per-rank: run_part mutates it
-              for (const partition::Part& ip : step.inner.parts)
-                sv::run_part(local, ip.gates, ip.qubits,
-                             state.local(rank), scratch, &kops);
+              sv::run_hierarchical(local, step.inner, state.local(rank), {},
+                                   &kops);
             }
             const double t1 = wall.seconds();
             MutexLock lk(comp_mu);

@@ -567,10 +567,10 @@ Result ExecutionPlan::execute_impl(const ExecOptions& opts,
       case Target::Multilevel: {
         const sv::HierarchicalStats stats =
             opt.target == Target::Hierarchical
-                ? sv::HierarchicalSimulator().run(c, plan.single, state,
-                                                  plan.kernels)
-                : sv::HierarchicalSimulator().run(c, plan.two, state, 0,
-                                                  plan.kernels);
+                ? sv::run_hierarchical(c, plan.single, state, {},
+                                       plan.kernels)
+                : sv::run_hierarchical(c, plan.two.level1, state,
+                                       plan.two.level2, plan.kernels);
         r.gather_seconds = stats.gather_seconds;
         r.apply_seconds = stats.execute_seconds;
         r.scatter_seconds = stats.scatter_seconds;

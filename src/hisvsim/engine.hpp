@@ -67,7 +67,7 @@ Target parse_target(const std::string& name);
 /// True for the three sharded-state targets.
 bool target_is_distributed(Target t);
 /// The distributed target that runs on the given exchange backend — the
-/// one mapping shared by the CLI, the legacy facade, and the benches.
+/// one mapping shared by the CLI and the benches.
 Target target_for_backend(dist::BackendKind kind);
 
 /// Compile-time configuration: everything the plan depends on.

@@ -1,6 +1,7 @@
 #include "sv/hierarchical.hpp"
 
 #include <algorithm>
+#include <vector>
 
 #include "common/bits.hpp"
 #include "common/check.hpp"
@@ -11,189 +12,168 @@
 namespace hisim::sv {
 namespace {
 
-/// Gate list with qubits remapped onto inner slots, built once per part.
-std::vector<Gate> remap_gates(const Circuit& c,
-                              std::span<const std::size_t> gates,
-                              std::span<const Qubit> slot_of) {
-  std::vector<Gate> out;
-  out.reserve(gates.size());
-  for (std::size_t gi : gates) {
-    Gate g = c.gate(gi);
-    for (Qubit& q : g.qubits) q = slot_of[q];
-    out.push_back(std::move(g));
+/// One part, ready to run against its parent vector: everything the
+/// gather-execute-scatter loop needs, built once per part per call.
+struct PreparedPart {
+  unsigned width = 0;
+  Index outside = 0;                // parent bits not in the part
+  std::vector<Index> offset;        // parent offset of inner slot t
+  std::vector<Gate> gates;          // the part's gates on inner slots
+  std::vector<PreparedPart> inner;  // sub-parts; run instead of `gates`
+  Index bytes_touched = 0;          // inner traffic of one run of the part
+  double flops = 0.0;
+};
+
+/// Builds part `p`, whose gate indices point into `gates` and whose
+/// qubits belong to an m-qubit parent. `sub` (nullable) partitions the
+/// part in the TwoLevelPartitioning::level2 convention.
+PreparedPart prepare(std::span<const Gate> gates, const partition::Part& p,
+                     unsigned m, const partition::Partitioning* sub) {
+  constexpr Qubit kOutside = ~Qubit{0};
+  const unsigned w = p.working_set();
+  std::vector<Qubit> slot_of(m, kOutside);
+  Index mask = 0;
+  for (unsigned j = 0; j < w; ++j) {
+    const Qubit q = p.qubits[j];
+    HISIM_CHECK_MSG(q < m && (j == 0 || p.qubits[j - 1] < q),
+                    "part qubits must be strictly increasing and below "
+                        << m << " (got " << q << " at position " << j
+                        << ")");
+    slot_of[q] = j;
+    mask |= Index{1} << q;
+  }
+
+  PreparedPart out;
+  out.width = w;
+  out.outside = ~mask & (dim(m) - 1);
+  out.offset.resize(dim(w));
+  for (Index t = 0; t < dim(w); ++t) out.offset[t] = bits::deposit(t, mask);
+  out.gates.reserve(p.gates.size());
+  for (std::size_t gi : p.gates) {
+    HISIM_CHECK_MSG(gi < gates.size(),
+                    "part gate index " << gi << " out of range");
+    Gate g = gates[gi];
+    for (Qubit& q : g.qubits) {
+      HISIM_CHECK_MSG(q < m && slot_of[q] != kOutside,
+                      "gate " << gi << " acts on qubit " << q
+                              << ", outside its part");
+      q = slot_of[q];
+    }
+    out.gates.push_back(std::move(g));
+  }
+
+  const Index iterations = dim(m - w);
+  if (sub == nullptr || sub->parts.empty()) {
+    out.bytes_touched = static_cast<Index>(out.gates.size()) * 2 * dim(w) *
+                        kAmpBytes * iterations;
+    for (const Gate& g : out.gates)
+      out.flops += gate_flops(g, w) * static_cast<double>(iterations);
+    return out;
+  }
+  // Inner parts name the parent's qubits: re-express them on this part's
+  // slots, then prepare them against the remapped gates.
+  for (const partition::Part& ip : sub->parts) {
+    partition::Part local;
+    local.gates = ip.gates;
+    for (Qubit q : ip.qubits) {
+      HISIM_CHECK_MSG(q < m && slot_of[q] != kOutside,
+                      "inner part qubit " << q << " is outside its part");
+      local.qubits.push_back(slot_of[q]);
+    }
+    out.inner.push_back(prepare(out.gates, local, w, nullptr));
+    const PreparedPart& child = out.inner.back();
+    out.bytes_touched +=
+        (2 * dim(w) * kAmpBytes + child.bytes_touched) * iterations;
+    out.flops += child.flops * static_cast<double>(iterations);
   }
   return out;
 }
 
-}  // namespace
+/// Phase timers of the outermost level.
+struct PhaseClock {
+  Stopwatch gather, execute, scatter;
+};
 
-void run_part(const Circuit& c, std::span<const std::size_t> gates,
-              std::span<const Qubit> part_qubits, StateVector& outer,
-              HierarchicalStats& stats, const KernelOps* ops) {
-  const KernelOps& kops = ops != nullptr ? *ops : kernel_ops();
-  // Per-part granularity; the gather/exec/scatter iterations inside are
-  // far too hot for spans — the Stopwatch totals below cover those.
-  trace::TraceSpan span("part", "sv");
-  span.arg("gates", static_cast<std::int64_t>(gates.size()));
-  const unsigned n = outer.num_qubits();
-  const unsigned w = static_cast<unsigned>(part_qubits.size());
-  HISIM_CHECK(w <= n);
-  HISIM_CHECK(std::is_sorted(part_qubits.begin(), part_qubits.end()));
-
-  // Slot map: part qubit j lives at inner bit j.
-  std::vector<Qubit> slot_of(n, 0);
-  Index mask = 0;
-  for (unsigned j = 0; j < w; ++j) {
-    slot_of[part_qubits[j]] = j;
-    mask |= Index{1} << part_qubits[j];
-  }
-  const std::vector<Gate> inner_gates = remap_gates(c, gates, slot_of);
-
-  const Index kdim = Index{1} << w;
-  const Index inv = ~mask & (outer.size() - 1);
-  std::vector<Index> offset(kdim);
-  for (Index t = 0; t < kdim; ++t) offset[t] = bits::deposit(t, mask);
-
-  StateVector inner(w);
-  const Index iterations = outer.size() >> w;
+/// The gather-execute-scatter loop: runs `p` against `outer` through the
+/// inner vector `buffers.front()`; deeper levels use the buffers after it.
+void run_part(const PreparedPart& p, StateVector& outer,
+              std::span<StateVector> buffers, const KernelOps& ops,
+              PhaseClock* clock) {
+  StateVector& inner = buffers.front();
+  inner.resize(p.width);
+  const Index kdim = inner.size();
+  const Index iterations = outer.size() >> p.width;
+  const Index* offset = p.offset.data();
   cplx* out_a = outer.data();
   cplx* in_a = inner.data();
-
-  Stopwatch gather_sw, exec_sw, scatter_sw;
   for (Index m = 0; m < iterations; ++m) {
-    const Index base = bits::deposit(m, inv);
-    gather_sw.start();
+    const Index base = bits::deposit(m, p.outside);
+    if (clock) clock->gather.start();
     for (Index t = 0; t < kdim; ++t) in_a[t] = out_a[base | offset[t]];
-    gather_sw.stop();
-    exec_sw.start();
-    for (const Gate& g : inner_gates) apply_gate(inner, g, kops);
-    exec_sw.stop();
-    scatter_sw.start();
+    if (clock) {
+      clock->gather.stop();
+      clock->execute.start();
+    }
+    if (p.inner.empty()) {
+      for (const Gate& g : p.gates) apply_gate(inner, g, ops);
+    } else {
+      for (const PreparedPart& ip : p.inner)
+        run_part(ip, inner, buffers.subspan(1), ops, nullptr);
+    }
+    if (clock) {
+      clock->execute.stop();
+      clock->scatter.start();
+    }
     for (Index t = 0; t < kdim; ++t) out_a[base | offset[t]] = in_a[t];
-    scatter_sw.stop();
+    if (clock) clock->scatter.stop();
+  }
+}
+
+}  // namespace
+
+HierarchicalStats run_hierarchical(
+    const Circuit& c, const partition::Partitioning& parts,
+    StateVector& state, std::span<const partition::Partitioning> inner,
+    const KernelOps* ops) {
+  const unsigned n = state.num_qubits();
+  HISIM_CHECK(n == c.num_qubits());
+  HISIM_CHECK_MSG(inner.empty() || inner.size() == parts.num_parts(),
+                  "need one inner partitioning per part, got "
+                      << inner.size() << " for " << parts.num_parts());
+
+  HierarchicalStats stats;
+  std::vector<PreparedPart> prepared;
+  prepared.reserve(parts.num_parts());
+  unsigned widest = 0, widest_inner = 0;
+  for (std::size_t pi = 0; pi < parts.num_parts(); ++pi) {
+    prepared.push_back(prepare(c.gates(), parts.parts[pi], n,
+                               inner.empty() ? nullptr : &inner[pi]));
+    const PreparedPart& p = prepared.back();
+    widest = std::max(widest, p.width);
+    for (const PreparedPart& ip : p.inner)
+      widest_inner = std::max(widest_inner, ip.width);
+    stats.outer_bytes_moved += 2 * state.bytes();  // gather + scatter
+    stats.inner_bytes_touched += p.bytes_touched;
+    stats.flops += p.flops;
   }
 
-  stats.parts += 1;
-  stats.gather_seconds += gather_sw.seconds();
-  stats.execute_seconds += exec_sw.seconds();
-  stats.scatter_seconds += scatter_sw.seconds();
-  stats.outer_bytes_moved += 2 * outer.bytes();  // gather read + scatter write
-  stats.inner_bytes_touched +=
-      static_cast<Index>(gates.size()) * 2 * inner.bytes() * iterations;
-  for (std::size_t gi : gates)
-    stats.flops +=
-        gate_flops(c.gate(gi), w) * static_cast<double>(iterations);
-}
-
-HierarchicalStats HierarchicalSimulator::run(
-    const Circuit& c, const partition::Partitioning& parts,
-    StateVector& state, const KernelOps* ops) const {
-  HISIM_CHECK(state.num_qubits() == c.num_qubits());
-  HierarchicalStats stats;
-  for (const partition::Part& p : parts.parts)
-    run_part(c, p.gates, p.qubits, state, stats, ops);
-  return stats;
-}
-
-HierarchicalStats HierarchicalSimulator::run(
-    const Circuit& c, const partition::TwoLevelPartitioning& parts,
-    StateVector& state, unsigned pad_to, const KernelOps* ops) const {
-  HISIM_CHECK(state.num_qubits() == c.num_qubits());
-  const unsigned n = c.num_qubits();
-  HierarchicalStats stats;
-
-  for (std::size_t pi = 0; pi < parts.level1.num_parts(); ++pi) {
-    trace::TraceSpan part_span("part", "sv");
-    part_span.arg("index", static_cast<std::int64_t>(pi));
-    const partition::Part& p1 = parts.level1.parts[pi];
-    const unsigned w1 = p1.working_set();
-
-    // Remap the part's gates onto level-1 inner slots once.
-    std::vector<Qubit> slot1(n, 0);
-    Index mask = 0;
-    for (unsigned j = 0; j < w1; ++j) {
-      slot1[p1.qubits[j]] = j;
-      mask |= Index{1} << p1.qubits[j];
-    }
-    Circuit inner_circuit(w1);
-    for (const std::string& p : c.param_names()) inner_circuit.param(p);
-    for (std::size_t gi : p1.gates) {
-      Gate g = c.gate(gi);
-      for (Qubit& q : g.qubits) q = slot1[q];
-      inner_circuit.add(std::move(g));
-    }
-    // Level-2 parts expressed on level-1 slots, optionally padded with
-    // parent qubits for spatial locality (paper Sec. IV, multi-level).
-    const partition::Partitioning& l2 = parts.level2[pi];
-    struct InnerPart {
-      std::vector<std::size_t> gates;  // indices into inner_circuit
-      std::vector<Qubit> qubits;       // level-1 slots, sorted
-    };
-    std::vector<InnerPart> inner_parts;
-    for (const partition::Part& p2 : l2.parts) {
-      InnerPart ip;
-      ip.gates = p2.gates;  // local indices == inner_circuit indices
-      for (Qubit q : p2.qubits) ip.qubits.push_back(slot1[q]);
-      std::sort(ip.qubits.begin(), ip.qubits.end());
-      if (pad_to > 0) {
-        const unsigned target = std::min<unsigned>(pad_to, w1);
-        for (Qubit s = 0; s < w1 && ip.qubits.size() < target; ++s) {
-          if (!std::binary_search(ip.qubits.begin(), ip.qubits.end(), s))
-            ip.qubits.insert(
-                std::lower_bound(ip.qubits.begin(), ip.qubits.end(), s), s);
-        }
-      }
-      inner_parts.push_back(std::move(ip));
-    }
-
-    // Gather-execute-scatter of the level-1 part, with the execute step
-    // itself hierarchical over the level-2 parts.
-    const Index kdim = Index{1} << w1;
-    const Index inv = ~mask & (state.size() - 1);
-    std::vector<Index> offset(kdim);
-    for (Index t = 0; t < kdim; ++t) offset[t] = bits::deposit(t, mask);
-
-    StateVector inner(w1);
-    const Index iterations = state.size() >> w1;
-    cplx* out_a = state.data();
-    cplx* in_a = inner.data();
-    Stopwatch gather_sw, exec_sw, scatter_sw;
-    HierarchicalStats inner_stats;
-    for (Index m = 0; m < iterations; ++m) {
-      const Index base = bits::deposit(m, inv);
-      gather_sw.start();
-      for (Index t = 0; t < kdim; ++t) in_a[t] = out_a[base | offset[t]];
-      gather_sw.stop();
-      exec_sw.start();
-      for (const InnerPart& ip : inner_parts)
-        run_part(inner_circuit, ip.gates, ip.qubits, inner, inner_stats,
-                 ops);
-      exec_sw.stop();
-      scatter_sw.start();
-      for (Index t = 0; t < kdim; ++t) out_a[base | offset[t]] = in_a[t];
-      scatter_sw.stop();
-    }
-
-    stats.parts += 1;
-    stats.inner_parts += inner_parts.size();
-    stats.gather_seconds += gather_sw.seconds();
-    stats.execute_seconds += exec_sw.seconds();
-    stats.scatter_seconds += scatter_sw.seconds();
-    stats.outer_bytes_moved += 2 * state.bytes();
-    stats.inner_bytes_touched += inner_stats.outer_bytes_moved +
-                                 inner_stats.inner_bytes_touched;
-    stats.flops += inner_stats.flops;
+  // One inner buffer per level, sized for that level's widest part.
+  std::vector<StateVector> buffers;
+  buffers.emplace_back(widest);
+  if (!inner.empty()) buffers.emplace_back(widest_inner);
+  const KernelOps& kops = ops != nullptr ? *ops : kernel_ops();
+  PhaseClock clock;
+  for (const PreparedPart& p : prepared) {
+    // Per-part granularity; the iterations inside are far too hot for
+    // spans — the PhaseClock totals cover those.
+    trace::TraceSpan span("part", "sv");
+    span.arg("gates", static_cast<std::int64_t>(p.gates.size()));
+    run_part(p, state, buffers, kops, &clock);
   }
+  stats.gather_seconds = clock.gather.seconds();
+  stats.execute_seconds = clock.execute.seconds();
+  stats.scatter_seconds = clock.scatter.seconds();
   return stats;
-}
-
-StateVector HierarchicalSimulator::simulate(
-    const Circuit& c, const partition::Partitioning& parts,
-    HierarchicalStats* stats) const {
-  StateVector state(c.num_qubits());
-  HierarchicalStats s = run(c, parts, state);
-  if (stats) *stats = s;
-  return state;
 }
 
 }  // namespace hisim::sv

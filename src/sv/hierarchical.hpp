@@ -1,6 +1,7 @@
 #pragma once
 
-#include "partition/multilevel.hpp"
+#include <span>
+
 #include "partition/partition.hpp"
 #include "sv/kernel_dispatch.hpp"
 #include "sv/state_vector.hpp"
@@ -10,58 +11,37 @@ namespace hisim::sv {
 /// Per-run accounting of the Gather-Execute-Scatter model. Byte counts
 /// follow the paper's memory-traffic reasoning: gather/scatter stream the
 /// full outer state vector once each per part, while gate execution stays
-/// inside the (cache-sized) inner vectors.
+/// inside the (cache-sized) inner vectors. Only the outermost level is
+/// timed; the traffic and FLOP counts cover every level.
 struct HierarchicalStats {
-  std::size_t parts = 0;
-  std::size_t inner_parts = 0;      // second-level parts (two-level runs)
   double gather_seconds = 0.0;
   double execute_seconds = 0.0;
   double scatter_seconds = 0.0;
   Index outer_bytes_moved = 0;      // bytes read+written on the outer vector
   Index inner_bytes_touched = 0;    // bytes processed inside inner vectors
   double flops = 0.0;
-
-  double total_seconds() const {
-    return gather_seconds + execute_seconds + scatter_seconds;
-  }
 };
 
-/// Hierarchical simulator implementing Algorithm 1: for each part, for
-/// every assignment of the qubits outside the part, gather the matching
-/// amplitudes into an inner state vector, run the part's gates there (with
-/// qubits remapped to inner slots), and scatter the results back.
-class HierarchicalSimulator {
- public:
-  /// Single-level run. `parts` must be a valid partitioning of `c`.
-  /// `ops` selects the kernel tier for the inner applies (nullptr = the
-  /// Auto-resolved default).
-  HierarchicalStats run(const Circuit& c,
-                        const partition::Partitioning& parts,
-                        StateVector& state,
-                        const KernelOps* ops = nullptr) const;
-
-  /// Two-level run (Sec. IV multi-level): level-1 parts are gathered from
-  /// the outer vector; each level-2 part is gathered from the level-1
-  /// inner vector into a smaller cache-resident vector. `pad_to`
-  /// implements the paper's padding rule: inner parts with fewer qubits
-  /// than `pad_to` borrow qubits from the parent part for spatial
-  /// locality (0 disables).
-  HierarchicalStats run(const Circuit& c,
-                        const partition::TwoLevelPartitioning& parts,
-                        StateVector& state, unsigned pad_to = 0,
-                        const KernelOps* ops = nullptr) const;
-
-  StateVector simulate(const Circuit& c,
-                       const partition::Partitioning& parts,
-                       HierarchicalStats* stats = nullptr) const;
-};
-
-/// Executes one part against `outer`: the gather-execute-scatter cycle of
-/// Algorithm 1. `gates` are indices into `c`; `part_qubits` must be the
-/// sorted working set of those gates. Exposed for reuse by the two-level
-/// runner and the distributed executor.
-void run_part(const Circuit& c, std::span<const std::size_t> gates,
-              std::span<const Qubit> part_qubits, StateVector& outer,
-              HierarchicalStats& stats, const KernelOps* ops = nullptr);
+/// Algorithm 1: for each part of `parts`, for every assignment of the
+/// qubits outside the part, gather the matching amplitudes of `state`
+/// into an inner vector, execute the part there, and scatter the results
+/// back.
+///
+/// With `inner` empty, executing a part applies its gates remapped onto
+/// inner slots. Otherwise `inner` holds one partitioning per part (the
+/// TwoLevelPartitioning::level2 convention: gate indices local to the
+/// part, qubits of `c`), and executing a part runs the same loop over its
+/// inner parts on the gathered vector (Sec. IV multi-level).
+///
+/// Each part's slot map, remapped gates and offset table are built once
+/// per call, and each level reuses one inner buffer. A malformed part
+/// throws hisim::Error before any amplitude moves: qubits not strictly
+/// increasing or out of range, or a gate touching a qubit outside its
+/// part. `ops` selects the kernel tier (nullptr = the Auto-resolved
+/// default). Outermost parts emit `part` trace spans.
+HierarchicalStats run_hierarchical(
+    const Circuit& c, const partition::Partitioning& parts,
+    StateVector& state, std::span<const partition::Partitioning> inner = {},
+    const KernelOps* ops = nullptr);
 
 }  // namespace hisim::sv

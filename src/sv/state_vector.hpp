@@ -19,6 +19,14 @@ class StateVector {
     amps_[0] = 1.0;
   }
 
+  /// Re-sizes to `num_qubits` as a scratch buffer: amplitudes are left
+  /// unspecified and the allocation is kept, so shrinking and regrowing up
+  /// to the largest size used never reallocates.
+  void resize(unsigned num_qubits) {
+    num_qubits_ = num_qubits;
+    amps_.resize(dim(num_qubits));
+  }
+
   unsigned num_qubits() const { return num_qubits_; }
   Index size() const { return amps_.size(); }
   Index bytes() const { return size() * kAmpBytes; }

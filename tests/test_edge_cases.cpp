@@ -8,7 +8,7 @@
 #include "common/error.hpp"
 #include "dist/hisvsim_dist.hpp"
 #include "dist/iqs_baseline.hpp"
-#include "hisvsim/hisvsim.hpp"
+#include "hisvsim/engine.hpp"
 #include "qasm/parser.hpp"
 #include "partition/exact.hpp"
 #include "sv/hierarchical.hpp"
@@ -24,24 +24,25 @@ TEST(EdgeCase, OneQubitCircuitAllPaths) {
   c.add(Gate::t(0));
   c.add(Gate::h(0));
   const auto ref = sv::FlatSimulator().simulate(c);
-  RunOptions opt;
+  Options opt;
   opt.limit = 1;
-  EXPECT_LT(HiSvSim(opt).simulate(c).max_abs_diff(ref), 1e-12);
+  EXPECT_LT(Engine::compile(c, opt).execute().state.max_abs_diff(ref), 1e-12);
 }
 
 TEST(EdgeCase, EmptyCircuitSimulates) {
   const Circuit c(4);
-  RunOptions opt;
+  Options opt;
   opt.limit = 2;
-  const auto s = HiSvSim(opt).simulate(c);
+  const auto s = Engine::compile(c, opt).execute().state;
   EXPECT_NEAR(std::abs(s[0] - 1.0), 0.0, 1e-15);
 }
 
 TEST(EdgeCase, EmptyCircuitDistributed) {
   const Circuit c(5);
-  RunOptions opt;
+  Options opt;
+  opt.target = Target::DistributedSerial;
   opt.process_qubits = 2;
-  const auto s = HiSvSim(opt).simulate_distributed(c);
+  const auto s = Engine::compile(c, opt).execute().state;
   EXPECT_NEAR(std::abs(s[0] - 1.0), 0.0, 1e-15);
 }
 
@@ -64,8 +65,7 @@ TEST(EdgeCase, PartHoldingEveryQubit) {
   ASSERT_EQ(parts.num_parts(), 1u);
   // Inner state vector == outer: gather degenerates to a copy.
   sv::StateVector state(6);
-  sv::HierarchicalStats stats;
-  sv::run_part(c, parts.parts[0].gates, parts.parts[0].qubits, state, stats);
+  sv::run_hierarchical(c, parts, state);
   EXPECT_LT(state.max_abs_diff(sv::FlatSimulator().simulate(c)), 1e-10);
 }
 
@@ -83,7 +83,7 @@ TEST(EdgeCase, SingleQubitParts) {
     const auto parts = partition::make_partition(d, opt);
     partition::validate(d, parts);
     sv::StateVector state(4);
-    sv::HierarchicalSimulator().run(c, parts, state);
+    sv::run_hierarchical(c, parts, state);
     EXPECT_LT(state.max_abs_diff(sv::FlatSimulator().simulate(c)), 1e-10);
   }
 }
@@ -190,7 +190,7 @@ TEST(EdgeCase, HierarchicalWithPrePreparedState) {
   sv::FlatSimulator().run(prep, state);
   const dag::CircuitDag d(body);
   const auto parts = partition::partition_nat(d, 2);
-  sv::HierarchicalSimulator().run(body, parts, state);
+  sv::run_hierarchical(body, parts, state);
   EXPECT_NEAR(state.prob_one(0), 1.0, 1e-12);
   EXPECT_NEAR(state.prob_one(4), 1.0, 1e-12);
 }
@@ -212,7 +212,7 @@ TEST(EdgeCase, DeepCircuitManyParts) {
   const auto parts = partition::make_partition(d, opt);
   partition::validate(d, parts);
   sv::StateVector state(8);
-  sv::HierarchicalSimulator().run(c, parts, state);
+  sv::run_hierarchical(c, parts, state);
   EXPECT_LT(state.max_abs_diff(sv::FlatSimulator().simulate(c)), 1e-9);
 }
 

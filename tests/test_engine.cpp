@@ -71,7 +71,7 @@ TEST(Engine, MatchesLegacyPathsBitForBit) {
     expect_bit_identical(Engine::compile(c, o).execute().state,
                          sv::FlatSimulator().simulate(c), "flat");
   }
-  {  // Hierarchical vs make_partition + HierarchicalSimulator.
+  {  // Hierarchical vs make_partition + run_hierarchical.
     Options o;
     o.target = Target::Hierarchical;
     o.limit = 5;
@@ -80,11 +80,11 @@ TEST(Engine, MatchesLegacyPathsBitForBit) {
     po.limit = 5;
     const auto parts = partition::make_partition(dag, po);
     sv::StateVector legacy(n);
-    sv::HierarchicalSimulator().run(c, parts, legacy);
+    sv::run_hierarchical(c, parts, legacy);
     expect_bit_identical(Engine::compile(c, o).execute().state, legacy,
                          "hierarchical");
   }
-  {  // Multilevel vs partition_two_level + HierarchicalSimulator.
+  {  // Multilevel vs partition_two_level + run_hierarchical.
     Options o;
     o.target = Target::Multilevel;
     o.limit = 5;
@@ -94,7 +94,7 @@ TEST(Engine, MatchesLegacyPathsBitForBit) {
     po.limit = 5;
     const auto two = partition::partition_two_level(dag, po, 3);
     sv::StateVector legacy(n);
-    sv::HierarchicalSimulator().run(c, two, legacy);
+    sv::run_hierarchical(c, two.level1, legacy, two.level2);
     expect_bit_identical(Engine::compile(c, o).execute().state, legacy,
                          "multilevel");
   }

@@ -56,14 +56,11 @@ TEST(Export, RemappedPartsReproduceFullState) {
   const Circuit c = circuits::qaoa(8, 2, 11);
   const auto parts = make_dagp(c, 5);
   const auto exported = export_parts(c, parts);
+  ASSERT_EQ(exported.size(), parts.num_parts());
+  // Run the parts against the outer vector on the original labels (the
+  // export must agree with that path).
   sv::StateVector state(c.num_qubits());
-  sv::HierarchicalStats stats;
-  for (std::size_t pi = 0; pi < exported.size(); ++pi) {
-    // Run the remapped circuit against the outer vector via run_part on
-    // the original labels (the export must agree with that path).
-    sv::run_part(c, parts.parts[pi].gates, parts.parts[pi].qubits, state,
-                 stats);
-  }
+  sv::run_hierarchical(c, parts, state);
   EXPECT_LT(state.max_abs_diff(sv::FlatSimulator().simulate(c)), 1e-10);
 }
 

@@ -107,7 +107,7 @@ TEST(Fusion, ComposesWithPartitioning) {
   partition::validate(d, parts);
   const auto ref = sv::FlatSimulator().simulate(c);
   sv::StateVector state(9);
-  sv::HierarchicalSimulator().run(f, parts, state);
+  sv::run_hierarchical(f, parts, state);
   EXPECT_LT(state.max_abs_diff(ref), 1e-9);
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "circuits/generators.hpp"
+#include "common/error.hpp"
 #include "sv/kernels.hpp"
 #include "sv/simulator.hpp"
 
@@ -29,12 +30,12 @@ TEST_P(HierarchicalMatchesFlat, SameAmplitudes) {
   partition::validate(d, parts);
 
   const StateVector flat = FlatSimulator().simulate(c);
-  HierarchicalStats stats;
-  const StateVector hier = HierarchicalSimulator().simulate(c, parts, &stats);
+  StateVector hier(c.num_qubits());
+  const HierarchicalStats stats = run_hierarchical(c, parts, hier);
   EXPECT_LT(hier.max_abs_diff(flat), 1e-10)
       << tc.name << " " << partition::strategy_name(tc.strategy);
-  EXPECT_EQ(stats.parts, parts.num_parts());
-  EXPECT_GT(stats.outer_bytes_moved, 0u);
+  // Gather reads and scatter writes the whole outer vector once per part.
+  EXPECT_EQ(stats.outer_bytes_moved, parts.num_parts() * 2 * hier.bytes());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -64,11 +65,12 @@ TEST(Hierarchical, SinglePartEqualsFlat) {
   const partition::Partitioning p = partition::partition_nat(d, 6);
   ASSERT_EQ(p.num_parts(), 1u);
   const StateVector flat = FlatSimulator().simulate(c);
-  const StateVector hier = HierarchicalSimulator().simulate(c, p);
+  StateVector hier(c.num_qubits());
+  run_hierarchical(c, p, hier);
   EXPECT_LT(hier.max_abs_diff(flat), 1e-12);
 }
 
-TEST(Hierarchical, RunPartSweepsWholeOuter) {
+TEST(Hierarchical, PartSweepsWholeOuter) {
   // A part acting on a strict qubit subset must leave other-qubit marginals
   // intact.
   Circuit c(5);
@@ -78,9 +80,7 @@ TEST(Hierarchical, RunPartSweepsWholeOuter) {
   const partition::Partitioning p = partition::partition_nat(d, 2);
   StateVector state(5);
   apply_gate(state, Gate::x(4));  // pre-set qubit 4
-  HierarchicalStats stats;
-  for (const auto& part : p.parts)
-    run_part(c, part.gates, part.qubits, state, stats);
+  run_hierarchical(c, p, state);
   EXPECT_NEAR(state.prob_one(4), 1.0, 1e-12);
   EXPECT_NEAR(state.prob_one(1), 0.5, 1e-12);
   EXPECT_NEAR(state.prob_one(3), 0.5, 1e-12);
@@ -92,9 +92,9 @@ TEST(Hierarchical, StatsTrafficScalesWithParts) {
   const partition::Partitioning coarse = partition::partition_nat(d, 10);
   const partition::Partitioning fine = partition::partition_nat(d, 3);
   StateVector s1(10), s2(10);
-  const auto st1 = HierarchicalSimulator().run(c, coarse, s1);
-  const auto st2 = HierarchicalSimulator().run(c, fine, s2);
-  EXPECT_GT(st2.parts, st1.parts);
+  const auto st1 = run_hierarchical(c, coarse, s1);
+  const auto st2 = run_hierarchical(c, fine, s2);
+  EXPECT_GT(fine.num_parts(), coarse.num_parts());
   EXPECT_GT(st2.outer_bytes_moved, st1.outer_bytes_moved);
   EXPECT_LT(s1.max_abs_diff(s2), 1e-10);
 }
@@ -104,8 +104,52 @@ TEST(Hierarchical, FlopsAccounted) {
   const dag::CircuitDag d(c);
   const partition::Partitioning p = partition::partition_nat(d, 4);
   StateVector s(8);
-  const auto stats = HierarchicalSimulator().run(c, p, s);
+  const auto stats = run_hierarchical(c, p, s);
   EXPECT_GT(stats.flops, 0.0);
+}
+
+// Malformed parts are rejected before any amplitude moves.
+partition::Partitioning one_part(std::vector<std::size_t> gates,
+                                 std::vector<Qubit> qubits) {
+  partition::Partitioning p;
+  p.parts.push_back({std::move(gates), std::move(qubits)});
+  return p;
+}
+
+TEST(Hierarchical, RejectsGateOutsidePart) {
+  Circuit c(4);
+  c.add(Gate::h(3));
+  StateVector s(4);
+  EXPECT_THROW(run_hierarchical(c, one_part({0}, {1}), s), Error);
+  EXPECT_EQ(s[0], cplx(1.0));
+}
+
+TEST(Hierarchical, RejectsRepeatedPartQubit) {
+  Circuit c(2);
+  c.add(Gate::h(1));
+  StateVector s(2);
+  EXPECT_THROW(run_hierarchical(c, one_part({0}, {1, 1}), s), Error);
+  EXPECT_EQ(s[0], cplx(1.0));
+}
+
+TEST(Hierarchical, RejectsMalformedPartShapes) {
+  Circuit c(3);
+  c.add(Gate::cx(0, 2));
+  StateVector s(3);
+  EXPECT_THROW(run_hierarchical(c, one_part({0}, {2, 0}), s), Error);
+  EXPECT_THROW(run_hierarchical(c, one_part({0}, {0, 2, 3}), s), Error);
+  EXPECT_THROW(run_hierarchical(c, one_part({1}, {0, 2}), s), Error);
+}
+
+TEST(Hierarchical, RejectsInnerPartOutsideItsParent) {
+  Circuit c(4);
+  c.add(Gate::cx(0, 1));
+  StateVector s(4);
+  const partition::Partitioning outer = one_part({0}, {0, 1});
+  const partition::Partitioning inner[] = {one_part({0}, {0, 3})};
+  EXPECT_THROW(run_hierarchical(c, outer, s, inner), Error);
+  const partition::Partitioning wrong_count[] = {inner[0], inner[0]};
+  EXPECT_THROW(run_hierarchical(c, outer, s, wrong_count), Error);
 }
 
 }  // namespace

@@ -9,10 +9,11 @@
 #include "circuits/generators.hpp"
 #include "dist/hisvsim_dist.hpp"
 #include "dist/iqs_baseline.hpp"
-#include "hisvsim/hisvsim.hpp"
+#include "hisvsim/engine.hpp"
 #include "qasm/parser.hpp"
 #include "qasm/writer.hpp"
 #include "sv/observables.hpp"
+#include "sv/simulator.hpp"
 
 namespace hisim {
 namespace {
@@ -51,30 +52,31 @@ TEST_P(FullPipeline, AllPathsAgreeOnSuiteCircuit) {
   const unsigned limit = std::max(5u, max_arity);
   for (auto s : {partition::Strategy::Nat, partition::Strategy::Dfs,
                  partition::Strategy::DagP}) {
-    RunOptions opt;
+    Options opt;
     opt.strategy = s;
     opt.limit = limit;
-    RunReport rep;
-    const auto state = HiSvSim(opt).simulate(c, &rep);
-    EXPECT_LT(state.max_abs_diff(ref), 1e-9)
+    const Result r = Engine::compile(c, opt).execute();
+    EXPECT_LT(r.state.max_abs_diff(ref), 1e-9)
         << name << " " << partition::strategy_name(s);
-    EXPECT_GE(rep.parts, 1u);
+    EXPECT_GE(r.parts, 1u);
   }
 
   // 4. Two-level.
   if (limit > 3 && max_arity <= 3) {
-    RunOptions opt;
+    Options opt;
+    opt.target = Target::Multilevel;
     opt.limit = limit;
     opt.level2_limit = 3;
-    EXPECT_LT(HiSvSim(opt).simulate(c).max_abs_diff(ref), 1e-9)
+    EXPECT_LT(Engine::compile(c, opt).execute().state.max_abs_diff(ref), 1e-9)
         << name << " two-level";
   }
 
   // 5. Distributed HiSVSIM + IQS baseline.
   {
-    RunOptions opt;
+    Options opt;
+    opt.target = Target::DistributedSerial;
     opt.process_qubits = 2;
-    const auto state = HiSvSim(opt).simulate_distributed(c);
+    const auto state = Engine::compile(c, opt).execute().state;
     EXPECT_LT(state.max_abs_diff(ref), 1e-9) << name << " distributed";
     dist::DistState iqs_state(n, 2);
     dist::IqsBaselineSimulator().run(c, iqs_state);

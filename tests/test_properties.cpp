@@ -7,7 +7,7 @@
 #include "common/rng.hpp"
 #include "dist/hisvsim_dist.hpp"
 #include "dist/iqs_baseline.hpp"
-#include "hisvsim/hisvsim.hpp"
+#include "hisvsim/engine.hpp"
 #include "partition/exact.hpp"
 #include "sv/hierarchical.hpp"
 #include "sv/simulator.hpp"
@@ -39,7 +39,8 @@ TEST_P(RandomCircuits, AllPathsAgree) {
     opt.seed = seed;
     const auto parts = partition::make_partition(d, opt);
     partition::validate(d, parts);
-    const auto state = sv::HierarchicalSimulator().simulate(c, parts);
+    sv::StateVector state(n);
+    sv::run_hierarchical(c, parts, state);
     EXPECT_LT(state.max_abs_diff(ref), 1e-9)
         << "seed " << seed << " " << partition::strategy_name(s) << " limit "
         << limit;
@@ -102,13 +103,14 @@ INSTANTIATE_TEST_SUITE_P(Sweep, RandomPartitions,
 TEST(Properties, NormPreservedThroughEveryPath) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     const Circuit c = random_circuit(6, 40, seed);
-    RunOptions opt;
+    Options opt;
     opt.limit = 4;
-    const auto s1 = HiSvSim(opt).simulate(c);
+    const auto s1 = Engine::compile(c, opt).execute().state;
     EXPECT_NEAR(s1.norm(), 1.0, 1e-9);
-    RunOptions opt2;
+    Options opt2;
+    opt2.target = Target::DistributedSerial;
     opt2.process_qubits = 2;
-    const auto s2 = HiSvSim(opt2).simulate_distributed(c);
+    const auto s2 = Engine::compile(c, opt2).execute().state;
     EXPECT_NEAR(s2.norm(), 1.0, 1e-9);
   }
 }
