@@ -17,7 +17,7 @@ using namespace hisim;
 /// execution stays inside the cache-sized level-2 vectors. The single-level
 /// run instead pays one inner-vector sweep *per gate*. This model carries
 /// the Fig. 10 effect, which is a >LLC cache phenomenon our scaled wall
-/// times cannot expose directly (see EXPERIMENTS.md).
+/// times cannot expose directly.
 double multilevel_dram_bytes(const Circuit& c,
                              const partition::TwoLevelPartitioning& two) {
   const double sv = static_cast<double>(dim(c.num_qubits())) * kAmpBytes;

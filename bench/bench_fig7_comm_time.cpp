@@ -31,14 +31,15 @@ int main(int argc, char** argv) {
                      partition::Strategy::DagP}) {
         const auto his = bench::run_hisvsim(args, e.circuit, p, s,
                                             /*level2_limit=*/0, args.backend);
-        avg.push_back(his.comm.modeled_avg_seconds);
+        avg.push_back(his.metric("exchange.modeled_avg_seconds"));
         if (s == partition::Strategy::DagP) {
-          measured_comm = his.measured_comm_seconds;
-          measured_overlap = his.measured_overlap_seconds;
+          measured_comm = his.metric("exchange.measured_seconds.sum");
+          measured_overlap = his.metric("exchange.overlap_seconds.sum");
         }
       }
       bench::print_row({e.meta.name, std::to_string(1u << p),
-                        bench::fmt(iqs.comm.modeled_avg_seconds * 1e3, 3),
+                        bench::fmt(
+                            iqs.metric("exchange.modeled_avg_seconds") * 1e3, 3),
                         bench::fmt(avg[0] * 1e3, 3),
                         bench::fmt(avg[1] * 1e3, 3),
                         bench::fmt(avg[2] * 1e3, 3),

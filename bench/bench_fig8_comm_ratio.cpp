@@ -35,9 +35,10 @@ int main(int argc, char** argv) {
       if (nat.comm_ratio() > 0) nat_r.push_back(nat.comm_ratio());
       if (dfs.comm_ratio() > 0) dfs_r.push_back(dfs.comm_ratio());
       if (dagp.comm_ratio() > 0) dagp_r.push_back(dagp.comm_ratio());
-      if (dagp.measured_wall_seconds > 0 && dagp.measured_comm_seconds > 0)
-        meas_r.push_back(dagp.measured_comm_seconds /
-                         dagp.measured_wall_seconds);
+      const double meas_comm = dagp.metric("exchange.measured_seconds.sum");
+      const double meas_wall = dagp.metric("step.wall_seconds.sum");
+      if (meas_wall > 0 && meas_comm > 0)
+        meas_r.push_back(meas_comm / meas_wall);
     }
     bench::print_row({std::to_string(1u << p),
                       bench::fmt(bench::geomean(iqs_r) * 100, 1),

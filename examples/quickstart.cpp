@@ -39,9 +39,10 @@ int main() {
   const Result r1 = plan.execute();
   std::printf("run 1: gather %.3f ms / apply %.3f ms / scatter %.3f ms, "
               "outer traffic %.1f MiB, norm %.12f\n",
-              r1.gather_seconds * 1e3, r1.apply_seconds * 1e3,
-              r1.scatter_seconds * 1e3,
-              static_cast<double>(r1.outer_bytes_moved) / (1 << 20), r1.norm);
+              r1.metric("gather.seconds") * 1e3,
+              r1.metric("apply.seconds") * 1e3,
+              r1.metric("scatter.seconds") * 1e3,
+              r1.metric("sv.outer_bytes_moved") / (1 << 20), r1.norm);
 
   ExecOptions shots;
   shots.shots = 1000;

@@ -1,6 +1,7 @@
 #include "circuit/circuit.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <sstream>
 
@@ -26,6 +27,12 @@ void Circuit::validate_gate(const Gate& g) const {
     HISIM_CHECK_MSG(q < num_qubits_, "gate qubit q[" << q << "] out of range ("
                                                      << num_qubits_
                                                      << "-qubit circuit)");
+  // A non-finite angle (or coefficient) would run to a NaN state.
+  for (const ParamExpr& e : g.params)
+    HISIM_CHECK_MSG(std::isfinite(e.offset) && std::isfinite(e.coeff),
+                    "gate " << gate_name(g.kind)
+                            << " has a non-finite parameter ("
+                            << e.to_string() << ")");
   // A symbolic expression must reference *this* circuit's registry — a
   // Param handle from another circuit would otherwise silently bind to
   // whatever parameter happens to share its id here.
@@ -114,7 +121,9 @@ std::string Circuit::summary() const {
   std::ostringstream os;
   os << name_ << ": " << num_qubits_ << " qubits, " << num_gates()
      << " gates, depth " << depth() << ", sv "
-     << static_cast<double>(memory_bytes()) / (1024.0 * 1024.0) << " MiB";
+     << std::ldexp(static_cast<double>(kAmpBytes),
+                   static_cast<int>(num_qubits_) - 20)
+     << " MiB";
   return os.str();
 }
 

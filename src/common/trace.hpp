@@ -95,8 +95,10 @@ class Distribution {
 ///   - MetricsRegistry::global(): process-wide totals ("pool.tasks",
 ///     "partition.refine_passes") exported with the trace.
 ///   - A run-local registry on an execute's stack: per-run phase numbers
-///     (DistRunReport, Result::metrics) that concurrent executes must
-///     not cross-pollute; merged into snapshots/JSON when the run ends.
+///     (dist::execute_plan's per-step distributions) that concurrent
+///     executes must not cross-pollute; flattened into the executor's
+///     metrics map, and from there into Result::metrics, when the run
+///     ends.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;

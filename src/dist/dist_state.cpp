@@ -24,6 +24,15 @@ void charge_exchange(CommStats& stats, const NetworkModel& net,
   stats.modeled_avg_seconds += sum / static_cast<double>(hosts);
 }
 
+void record_comm(const CommStats& stats,
+                 std::map<std::string, double>& metrics) {
+  metrics["exchange.count"] = static_cast<double>(stats.exchanges);
+  metrics["exchange.messages"] = static_cast<double>(stats.messages_total);
+  metrics["exchange.bytes"] = static_cast<double>(stats.bytes_total);
+  metrics["exchange.modeled_max_seconds"] = stats.modeled_max_seconds;
+  metrics["exchange.modeled_avg_seconds"] = stats.modeled_avg_seconds;
+}
+
 namespace {
 
 RankLayout checked_identity(unsigned num_qubits, unsigned process_qubits) {

@@ -1,7 +1,9 @@
 #pragma once
 
+#include <map>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "dist/backend.hpp"
@@ -45,6 +47,13 @@ struct CommStats {
 void charge_exchange(CommStats& stats, const NetworkModel& net,
                      std::span<const Index> sent, std::span<const Index> recv,
                      std::span<const std::size_t> msgs);
+
+/// Writes `stats` into an executor's metrics map under the keys both
+/// distributed executors report: "exchange.count", "exchange.messages",
+/// "exchange.bytes", "exchange.modeled_max_seconds" and
+/// "exchange.modeled_avg_seconds" (the totals as accumulated).
+void record_comm(const CommStats& stats,
+                 std::map<std::string, double>& metrics);
 
 /// State vector sharded over 2^p simulated ranks. Each rank owns a
 /// contiguous 2^(n-p)-amplitude shard addressed through a RankLayout;

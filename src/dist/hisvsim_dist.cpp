@@ -13,26 +13,26 @@
 
 namespace hisim::dist {
 
+namespace {
+
+/// Pipelined-total estimate (paper Sec. V-C) over the non-empty per-step
+/// (modeled comm, measured compute) pairs: while a rank computes part i it
+/// can already receive the exchange for part i+1, so
+///   T = comm_1 + sum_i max(compute_i, comm_{i+1})   (comm_{k+1} = 0).
+/// Bounded below by both total comm and total compute, and above by their
+/// sum.
 double pipelined_total_seconds(
-    std::span<const std::pair<double, double>> part_times, double fallback) {
-  if (part_times.empty()) return fallback;
-  double t = part_times.front().first;
-  for (std::size_t i = 0; i < part_times.size(); ++i) {
+    std::span<const std::pair<double, double>> step_times) {
+  double t = step_times.front().first;
+  for (std::size_t i = 0; i < step_times.size(); ++i) {
     const double next_comm =
-        i + 1 < part_times.size() ? part_times[i + 1].first : 0.0;
-    t += std::max(part_times[i].second, next_comm);
+        i + 1 < step_times.size() ? step_times[i + 1].first : 0.0;
+    t += std::max(step_times[i].second, next_comm);
   }
   return t;
 }
 
-double DistRunReport::total_seconds_overlapped() const {
-  return pipelined_total_seconds(part_times, total_seconds());
-}
-
-double DistRunReport::comm_ratio() const {
-  const double total = total_seconds();
-  return total > 0.0 ? comm.modeled_max_seconds / total : 0.0;
-}
+}  // namespace
 
 DistPlan compile_plan(const Circuit& c, const DistOptions& opt,
                       const RankLayout* initial) {
@@ -114,11 +114,10 @@ DistPlan compile_plan(const Circuit& c, const DistOptions& opt,
   return plan;
 }
 
-DistRunReport execute_plan(const DistPlan& plan, DistState& state,
-                           const NetworkModel& net, CommBackend* backend_ptr,
-                           std::span<const double> param_values,
-                           std::span<const Gate> noise_ops,
-                           const sv::KernelOps* kernels) {
+std::map<std::string, double> execute_plan(
+    const DistPlan& plan, DistState& state, const NetworkModel& net,
+    CommBackend* backend_ptr, std::span<const double> param_values,
+    std::span<const Gate> noise_ops, const sv::KernelOps* kernels) {
   const sv::KernelOps& kops =
       kernels != nullptr ? *kernels : sv::kernel_ops();
   const unsigned n = plan.num_qubits;
@@ -130,19 +129,13 @@ DistRunReport execute_plan(const DistPlan& plan, DistState& state,
   const unsigned v = state.num_ranks();
   CommBackend& backend = backend_ptr ? *backend_ptr : serial_backend();
 
-  DistRunReport rep;
-  rep.parts = plan.num_parts();
-  rep.inner_parts = plan.inner_parts;
-  rep.ranks = 1u << p;
-  rep.partition_seconds = plan.partition_seconds;
-
-  // One accounting source for the run: every per-step measurement is
-  // recorded into this run-local registry (local so concurrent executes
-  // on separate states cannot cross-pollute) and the report's scalar
-  // fields are queried back from it at the end. Recording happens
-  // serially on this thread in step order, so each distribution's sum
-  // accumulates in exactly the fp order the old `+=` fields used — the
-  // scalar outputs are bit-identical to the pre-registry plumbing.
+  // Every per-step measurement is recorded into this run-local registry
+  // (local so concurrent executes on separate states cannot
+  // cross-pollute). Recording happens serially on this thread in step
+  // order, so each distribution's sum accumulates in step order.
+  CommStats comm;
+  // (modeled comm, measured compute) per step, for the pipelined model.
+  std::vector<std::pair<double, double>> step_times;
   trace::MetricsRegistry reg;
   trace::Distribution& d_modeled = reg.distribution("exchange.modeled_seconds");
   trace::Distribution& d_apply = reg.distribution("apply.seconds");
@@ -158,10 +151,10 @@ DistRunReport execute_plan(const DistPlan& plan, DistState& state,
     // qubits are already local. The exchange is started asynchronously;
     // each rank below waits only for its own shard before applying.
     Timer wall;
-    const double comm_before = rep.comm.modeled_max_seconds;
+    const double comm_before = comm.modeled_max_seconds;
     const std::unique_ptr<ExchangeHandle> handle =
-        state.redistribute_async(step.layout, net, rep.comm, backend);
-    const double part_comm = rep.comm.modeled_max_seconds - comm_before;
+        state.redistribute_async(step.layout, net, comm, backend);
+    const double part_comm = comm.modeled_max_seconds - comm_before;
     // The comm window on the part clock: movement started (at most) here
     // and finishes handle->finished_after() later (0 for a synchronous
     // backend — its movement already happened).
@@ -245,33 +238,21 @@ DistRunReport execute_plan(const DistPlan& plan, DistState& state,
     d_wall.record(wall.seconds());
     d_apply.record(part_comp);
     d_modeled.record(part_comm);
-    rep.part_times.emplace_back(part_comm, part_comp);
+    step_times.emplace_back(part_comm, part_comp);
     // Counter tracks in the trace viewer: cumulative modeled network
     // bytes and messages after each step.
     trace::counter_sample("exchange.bytes",
-                          static_cast<double>(rep.comm.bytes_total));
+                          static_cast<double>(comm.bytes_total));
     trace::counter_sample("exchange.messages",
-                          static_cast<double>(rep.comm.messages_total));
+                          static_cast<double>(comm.messages_total));
   }
 
-  // The report's scalar fields are the registry's sums — same values,
-  // same fp accumulation order, one accounting source.
-  rep.compute_seconds = d_apply.snapshot().sum;
-  rep.measured_comm_seconds = d_comm.snapshot().sum;
-  rep.measured_wall_seconds = d_wall.snapshot().sum;
-  rep.measured_overlap_seconds = d_overlap.snapshot().sum;
-  reg.counter("exchange.count").add(rep.comm.exchanges);
-  reg.counter("exchange.bytes").add(static_cast<std::uint64_t>(
-      rep.comm.bytes_total));
-  reg.counter("exchange.messages").add(rep.comm.messages_total);
-  rep.metrics = reg.flat();
-  return rep;
-}
-
-DistRunReport DistributedHiSvSim::run(const Circuit& c, const Options& opt,
-                                      DistState& state) const {
-  const DistPlan plan = compile_plan(c, opt, &state.layout());
-  return execute_plan(plan, state, opt.net, opt.backend);
+  std::map<std::string, double> metrics = reg.flat();
+  metrics["compute.seconds"] = d_apply.snapshot().sum;
+  record_comm(comm, metrics);
+  if (!step_times.empty())
+    metrics["model.pipelined_seconds"] = pipelined_total_seconds(step_times);
+  return metrics;
 }
 
 }  // namespace hisim::dist

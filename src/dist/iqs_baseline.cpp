@@ -55,10 +55,9 @@ bool is_identity(const Matrix& m) {
 
 }  // namespace
 
-IqsRunReport IqsBaselineSimulator::run(const Circuit& c, DistState& state,
-                                       const NetworkModel& net,
-                                       CommBackend* backend_ptr,
-                                       const sv::KernelOps* kernels) const {
+std::map<std::string, double> run_iqs_baseline(
+    const Circuit& c, DistState& state, const NetworkModel& net,
+    CommBackend* backend_ptr, const sv::KernelOps* kernels) {
   const sv::KernelOps& kops =
       kernels != nullptr ? *kernels : sv::kernel_ops();
   const unsigned n = c.num_qubits();
@@ -71,8 +70,7 @@ IqsRunReport IqsBaselineSimulator::run(const Circuit& c, DistState& state,
   const Index ldim = state.layout().local_dim();
   CommBackend& backend = backend_ptr ? *backend_ptr : serial_backend();
 
-  IqsRunReport rep;
-  rep.ranks = v;
+  CommStats comm;
   Stopwatch compute;
 
   std::int64_t gate_index = 0;
@@ -217,11 +215,12 @@ IqsRunReport IqsBaselineSimulator::run(const Circuit& c, DistState& state,
         }
       }
     }
-    if (any_exchanged) charge_exchange(rep.comm, net, sent, recv, msgs);
+    if (any_exchanged) charge_exchange(comm, net, sent, recv, msgs);
   }
 
-  rep.compute_seconds = compute.seconds();
-  return rep;
+  std::map<std::string, double> metrics{{"compute.seconds", compute.seconds()}};
+  record_comm(comm, metrics);
+  return metrics;
 }
 
 }  // namespace hisim::dist

@@ -1,28 +1,14 @@
 #pragma once
 
+#include <map>
+#include <string>
+
 #include "circuit/circuit.hpp"
 #include "dist/backend.hpp"
 #include "dist/dist_state.hpp"
 #include "sv/kernel_dispatch.hpp"
 
 namespace hisim::dist {
-
-/// Accounting of one IQS-baseline run (same comm model as DistRunReport,
-/// but per-gate exchanges instead of per-part redistributions).
-struct IqsRunReport {
-  unsigned ranks = 0;
-  double compute_seconds = 0.0;
-  CommStats comm;
-
-  double total_seconds() const {
-    return compute_seconds + comm.modeled_max_seconds;
-  }
-  /// Fraction of the total spent communicating, in [0, 1].
-  double comm_ratio() const {
-    const double total = total_seconds();
-    return total > 0.0 ? comm.modeled_max_seconds / total : 0.0;
-  }
-};
 
 /// Intel-QS-style distributed baseline (the paper's Fig. 7/8 comparison
 /// arm): the amplitude layout is *fixed* to the identity — qubit q at slot
@@ -36,20 +22,22 @@ struct IqsRunReport {
 /// Deep circuits that repeatedly target a process qubit therefore pay one
 /// exchange per gate, which is exactly the traffic HiSVSIM's one
 /// redistribution per part amortizes away.
-class IqsBaselineSimulator {
- public:
-  /// Runs `c` on `state`, which must carry the identity layout (throws
-  /// otherwise — this baseline never relayouts). The layout is unchanged
-  /// on return. Pass the same `net` given to DistributedHiSvSim::Options
-  /// when comparing the two on a non-default interconnect. Rank-local
-  /// work and the pairwise exchange groups (which touch disjoint shard
-  /// sets) execute through `backend` (nullptr = serial_backend()); the
-  /// resulting state and CommStats are backend-independent. `kernels`
-  /// selects the apply-kernel tier (nullptr = the Auto-resolved default).
-  IqsRunReport run(const Circuit& c, DistState& state,
-                   const NetworkModel& net = {},
-                   CommBackend* backend = nullptr,
-                   const sv::KernelOps* kernels = nullptr) const;
-};
+///
+/// Runs `c` on `state`, which must carry the identity layout (throws
+/// otherwise — this baseline never relayouts). The layout is unchanged on
+/// return. Pass the `net` given to execute_plan() when comparing the two on
+/// a non-default interconnect. Rank-local work and the pairwise exchange
+/// groups (which touch disjoint shard sets) execute through `backend`
+/// (nullptr = serial_backend()); the resulting state and comm accounting
+/// are backend-independent. `kernels` selects the apply-kernel tier
+/// (nullptr = the Auto-resolved default).
+///
+/// Returns the run's metrics under their Result::metrics keys: the
+/// record_comm() totals (same comm model as execute_plan(), but per-gate
+/// exchanges instead of per-part redistributions) and "compute.seconds",
+/// the wall time of the backend regions that apply gates.
+std::map<std::string, double> run_iqs_baseline(
+    const Circuit& c, DistState& state, const NetworkModel& net = {},
+    CommBackend* backend = nullptr, const sv::KernelOps* kernels = nullptr);
 
 }  // namespace hisim::dist

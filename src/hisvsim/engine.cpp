@@ -152,18 +152,26 @@ void run_indexed_on_pool(std::size_t count,
 
 }  // namespace
 
+double Result::metric(const std::string& key) const {
+  const auto it = metrics.find(key);
+  return it == metrics.end() ? 0.0 : it->second;
+}
+
 double Result::total_seconds() const {
-  if (ranks > 0) return compute_seconds + comm.modeled_max_seconds;
-  return gather_seconds + apply_seconds + scatter_seconds;
+  if (ranks > 0)
+    return metric("compute.seconds") + metric("exchange.modeled_max_seconds");
+  return metric("gather.seconds") + metric("apply.seconds") +
+         metric("scatter.seconds");
 }
 
 double Result::total_seconds_overlapped() const {
-  return dist::pipelined_total_seconds(part_times, total_seconds());
+  const auto it = metrics.find("model.pipelined_seconds");
+  return it == metrics.end() ? total_seconds() : it->second;
 }
 
 double Result::comm_ratio() const {
   const double total = total_seconds();
-  return total > 0.0 ? comm.modeled_max_seconds / total : 0.0;
+  return total > 0.0 ? metric("exchange.modeled_max_seconds") / total : 0.0;
 }
 
 std::string Result::to_json() const {
@@ -192,32 +200,43 @@ std::string Result::to_json() const {
   }
   json_int(os, first, "parts", parts);
   json_int(os, first, "inner_parts", inner_parts);
-  json_num(os, first, "compile_seconds", compile_seconds);
-  json_num(os, first, "partition_seconds", partition_seconds);
+  // The top-level keys below are the report schema consumers read; every
+  // value is a view of `metrics`.
+  const auto count = [this](const char* key) {
+    return static_cast<unsigned long long>(metric(key));
+  };
+  json_num(os, first, "compile_seconds", metric("compile.total_seconds"));
+  json_num(os, first, "partition_seconds",
+           metric("compile.partition_seconds"));
   // Deliberately NOT named "execute_seconds": the pre-Engine CLI schema
   // used that key for gate-apply time (now "apply_seconds"), and a silent
   // meaning change would skew old consumers; a missing key fails loudly.
-  json_num(os, first, "execute_wall_seconds", execute_seconds);
+  json_num(os, first, "execute_wall_seconds", metric("execute.wall_seconds"));
   if (ranks > 0) {
     json_int(os, first, "ranks", ranks);
-    json_int(os, first, "comm_exchanges", comm.exchanges);
-    json_int(os, first, "comm_messages", comm.messages_total);
-    json_int(os, first, "comm_bytes", comm.bytes_total);
-    json_num(os, first, "comm_seconds_modeled", comm.modeled_max_seconds);
-    json_num(os, first, "comm_seconds_modeled_avg", comm.modeled_avg_seconds);
-    json_num(os, first, "comm_seconds_measured", measured_comm_seconds);
-    json_num(os, first, "wall_seconds_measured", measured_wall_seconds);
-    json_num(os, first, "overlap_seconds_measured", measured_overlap_seconds);
-    json_num(os, first, "compute_seconds", compute_seconds);
+    json_int(os, first, "comm_exchanges", count("exchange.count"));
+    json_int(os, first, "comm_messages", count("exchange.messages"));
+    json_int(os, first, "comm_bytes", count("exchange.bytes"));
+    json_num(os, first, "comm_seconds_modeled",
+             metric("exchange.modeled_max_seconds"));
+    json_num(os, first, "comm_seconds_modeled_avg",
+             metric("exchange.modeled_avg_seconds"));
+    json_num(os, first, "comm_seconds_measured",
+             metric("exchange.measured_seconds.sum"));
+    json_num(os, first, "wall_seconds_measured",
+             metric("step.wall_seconds.sum"));
+    json_num(os, first, "overlap_seconds_measured",
+             metric("exchange.overlap_seconds.sum"));
+    json_num(os, first, "compute_seconds", metric("compute.seconds"));
     json_num(os, first, "total_seconds_overlapped", total_seconds_overlapped());
     json_num(os, first, "comm_ratio", comm_ratio());
   } else {
-    json_num(os, first, "gather_seconds", gather_seconds);
-    json_num(os, first, "apply_seconds", apply_seconds);
-    json_num(os, first, "scatter_seconds", scatter_seconds);
-    json_int(os, first, "outer_bytes_moved", outer_bytes_moved);
-    json_int(os, first, "inner_bytes_touched", inner_bytes_touched);
-    json_num(os, first, "flops", flops);
+    json_num(os, first, "gather_seconds", metric("gather.seconds"));
+    json_num(os, first, "apply_seconds", metric("apply.seconds"));
+    json_num(os, first, "scatter_seconds", metric("scatter.seconds"));
+    json_int(os, first, "outer_bytes_moved", count("sv.outer_bytes_moved"));
+    json_int(os, first, "inner_bytes_touched", count("sv.inner_bytes_touched"));
+    json_num(os, first, "flops", metric("sv.flops"));
   }
   json_num(os, first, "total_seconds", total_seconds());
   if (!metrics.empty()) {
@@ -539,8 +558,6 @@ Result ExecutionPlan::execute_impl(const ExecOptions& opts,
   r.parts = plan.parts;
   r.inner_parts = plan.inner_parts;
   r.ranks = plan.ranks;
-  r.compile_seconds = plan.compile_seconds;
-  r.partition_seconds = plan.partition_seconds;
   r.metrics = plan.compile_metrics;
 
   sv::StateVector state;
@@ -560,67 +577,32 @@ Result ExecutionPlan::execute_impl(const ExecOptions& opts,
         Timer t;
         trace::TraceSpan span("apply", "sv");
         sv::FlatSimulator().run(c, state, plan.kernels);
-        r.apply_seconds = t.seconds();
+        r.metrics["apply.seconds"] = t.seconds();
         break;
       }
       case Target::Hierarchical:
-      case Target::Multilevel: {
-        const sv::HierarchicalStats stats =
-            opt.target == Target::Hierarchical
-                ? sv::run_hierarchical(c, plan.single, state, {},
-                                       plan.kernels)
-                : sv::run_hierarchical(c, plan.two.level1, state,
-                                       plan.two.level2, plan.kernels);
-        r.gather_seconds = stats.gather_seconds;
-        r.apply_seconds = stats.execute_seconds;
-        r.scatter_seconds = stats.scatter_seconds;
-        r.outer_bytes_moved = stats.outer_bytes_moved;
-        r.inner_bytes_touched = stats.inner_bytes_touched;
-        r.flops = stats.flops;
-        r.metrics["gather.seconds"] = stats.gather_seconds;
-        r.metrics["scatter.seconds"] = stats.scatter_seconds;
-        r.metrics["sv.outer_bytes_moved"] =
-            static_cast<double>(stats.outer_bytes_moved);
-        r.metrics["sv.inner_bytes_touched"] =
-            static_cast<double>(stats.inner_bytes_touched);
-        r.metrics["sv.flops"] = stats.flops;
+        r.metrics.merge(
+            sv::run_hierarchical(c, plan.single, state, {}, plan.kernels));
         break;
-      }
+      case Target::Multilevel:
+        r.metrics.merge(sv::run_hierarchical(c, plan.two.level1, state,
+                                             plan.two.level2, plan.kernels));
+        break;
       default: break;  // unreachable
     }
-    r.metrics["apply.seconds"] = r.apply_seconds;
-    r.execute_seconds = wall.seconds();
+    r.metrics["execute.wall_seconds"] = wall.seconds();
   } else {
     dist::DistState st(n, opt.process_qubits);
     if (opts.initial_state) load_initial(st, *opts.initial_state);
     if (opt.target == Target::IqsBaseline) {
-      const dist::IqsRunReport ir =
-          dist::IqsBaselineSimulator().run(c, st, opts.net, nullptr,
-                                           plan.kernels);
-      r.compute_seconds = ir.compute_seconds;
-      r.comm = ir.comm;
-      r.metrics["compute.seconds"] = ir.compute_seconds;
-      r.metrics["exchange.count"] = static_cast<double>(ir.comm.exchanges);
-      r.metrics["exchange.bytes"] = static_cast<double>(ir.comm.bytes_total);
-      r.metrics["exchange.messages"] =
-          static_cast<double>(ir.comm.messages_total);
+      r.metrics.merge(dist::run_iqs_baseline(c, st, opts.net, nullptr,
+                                             plan.kernels));
     } else {
-      const dist::DistRunReport dr =
-          dist::execute_plan(plan.dplan, st, opts.net,
-                             backend_for_target(opt.target), param_values,
-                             noise_ops, plan.kernels);
-      r.compute_seconds = dr.compute_seconds;
-      r.comm = dr.comm;
-      r.part_times = dr.part_times;
-      r.measured_comm_seconds = dr.measured_comm_seconds;
-      r.measured_wall_seconds = dr.measured_wall_seconds;
-      r.measured_overlap_seconds = dr.measured_overlap_seconds;
-      // The distributed executor's run registry, flattened: per-step
-      // distributions of the modeled/measured phase times plus the
-      // exchange counters.
-      r.metrics.insert(dr.metrics.begin(), dr.metrics.end());
+      r.metrics.merge(dist::execute_plan(
+          plan.dplan, st, opts.net, backend_for_target(opt.target),
+          param_values, noise_ops, plan.kernels));
     }
-    r.execute_seconds = wall.seconds();
+    r.metrics["execute.wall_seconds"] = wall.seconds();
     // Gathering the sharded state is O(2^n); report-only executions
     // (want_state off, no shots/observables) get the norm from the
     // shards instead and skip it.
@@ -638,12 +620,10 @@ Result ExecutionPlan::execute_impl(const ExecOptions& opts,
         sv::validate_norm_preserved(
             opts.initial_state ? opts.initial_state->norm() : 1.0, r.norm,
             "sharded execute (report-only)");
-      r.metrics["execute.wall_seconds"] = r.execute_seconds;
       return r;
     }
   }
 
-  r.metrics["execute.wall_seconds"] = r.execute_seconds;
   r.norm = state.norm();
   // Checked builds: a unitary segment (no sampled trajectory operators, no
   // non-unitary matrices) must preserve the initial norm — a violation

@@ -144,10 +144,11 @@ struct ExecOptions {
   dist::NetworkModel net;
 };
 
-/// Flat, single-headed report of one execution, carrying both the plan's
-/// compile-side accounting (constant across executions of one plan) and
-/// this execution's measurements. to_json() is the single definition of
-/// the report fields used by the CLI and the benchmark drivers.
+/// Flat, single-headed report of one execution. Every measured or modeled
+/// number lives in `metrics`, where the executors put it; the fields carry
+/// the run's identity and the plan's shape. to_json() is the single
+/// definition of the report fields used by the CLI and the benchmark
+/// drivers.
 struct Result {
   // -- circuit / configuration identity ------------------------------
   std::string circuit;
@@ -162,34 +163,12 @@ struct Result {
   /// Resolved kernel tier the run executed with ("scalar" | "simd").
   std::string kernel;
 
-  // -- compile side (copied from the plan; identical every execution) -
+  // -- plan shape (copied from the plan; identical every execution) ---
   std::size_t parts = 0;
   std::size_t inner_parts = 0;
   unsigned ranks = 0;              // 0 for single-node targets
-  double compile_seconds = 0.0;    // full wall cost of Engine::compile()
-  double partition_seconds = 0.0;  // partitioning share of compile
 
-  // -- execute side: single-node gather-execute-scatter breakdown -----
-  double gather_seconds = 0.0;
-  double apply_seconds = 0.0;      // gate execution inside inner vectors
-  double scatter_seconds = 0.0;
-  Index outer_bytes_moved = 0;
-  Index inner_bytes_touched = 0;
-  double flops = 0.0;
-
-  // -- execute side: distributed accounting ---------------------------
-  double compute_seconds = 0.0;    // shard-local apply wall, summed
-  dist::CommStats comm;            // modeled network cost
-  /// One (modeled comm, measured compute) pair per part, execution order.
-  std::vector<std::pair<double, double>> part_times;
-  double measured_comm_seconds = 0.0;
-  double measured_wall_seconds = 0.0;
-  double measured_overlap_seconds = 0.0;
-
-  // -- execute side: totals and outputs -------------------------------
-  /// Measured wall-clock seconds of this execute() call (simulation
-  /// phase; excludes shots/observable post-processing).
-  double execute_seconds = 0.0;
+  // -- outputs --------------------------------------------------------
   double norm = 0.0;
   sv::StateVector state;           // final state (gathered when sharded)
   std::vector<Index> samples;      // ExecOptions::shots outcomes
@@ -200,24 +179,31 @@ struct Result {
   ParamBinding params;
 
   /// Flat per-phase metrics (trace::MetricsRegistry naming, `module.noun`
-  /// keys): the plan's compile-phase breakdown ("compile.*") merged with
-  /// this execution's phase numbers — per-step exchange/apply
-  /// distributions on the distributed targets, gather/apply/scatter
-  /// seconds on the hierarchical ones. Serialized by to_json() as
-  /// "metrics" on every target; keys vary by target, values are counts,
-  /// seconds, or bytes per the key's suffix.
+  /// keys): the plan's compile-phase breakdown ("compile.*", including
+  /// "compile.total_seconds" and "compile.partition_seconds"), the
+  /// execute() wall time ("execute.wall_seconds", simulation phase only),
+  /// and the executor's own map — gather/apply/scatter seconds and
+  /// "sv.*" traffic on the single-node targets, "compute.seconds" and
+  /// "exchange.*" comm accounting on the distributed ones (see
+  /// run_hierarchical, dist::execute_plan and dist::run_iqs_baseline).
+  /// Serialized by to_json() as "metrics" on every target; keys vary by
+  /// target, values are counts, seconds, or bytes per the key's suffix.
   std::map<std::string, double> metrics;
+
+  /// metrics[key], or 0 when this execution did not record `key`.
+  double metric(const std::string& key) const;
 
   /// Modeled serial total: compute + slowest-host comm for distributed
   /// targets, the gather/apply/scatter sum otherwise.
   double total_seconds() const;
-  /// Pipelined estimate over part_times (falls back to total_seconds()).
+  /// The pipelined estimate "model.pipelined_seconds" when the executor
+  /// recorded one, else total_seconds().
   double total_seconds_overlapped() const;
   /// Fraction of total_seconds() spent communicating, in [0, 1].
   double comm_ratio() const;
 
-  /// Serializes every report field above (not the state or raw samples)
-  /// as a JSON object. The one place report fields are defined.
+  /// Serializes the report (not the state or raw samples) as a JSON
+  /// object. The one place report fields are defined.
   std::string to_json() const;
 };
 

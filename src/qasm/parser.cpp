@@ -78,9 +78,11 @@ class Parser {
     return eat();
   }
   [[noreturn]] void fail(const std::string& msg) const {
-    throw Error("QASM parse error at " + std::to_string(cur().line) + ":" +
-                std::to_string(cur().col) + ": " + msg + " (got '" +
-                cur().text + "')");
+    fail_at(cur(), msg + " (got '" + cur().text + "')");
+  }
+  [[noreturn]] static void fail_at(const Token& at, const std::string& msg) {
+    throw Error("QASM parse error at " + std::to_string(at.line) + ":" +
+                std::to_string(at.col) + ": " + msg);
   }
 
   // ---- grammar ----------------------------------------------------------
@@ -129,6 +131,12 @@ class Parser {
     const std::string name = expect(TokKind::Identifier, "register name").text;
     expect(TokKind::LBracket, "'['");
     const Token size = expect(TokKind::Integer, "register size");
+    // Amplitude indices are 64-bit: the register total must stay below 64
+    // qubits, checked before the size is narrowed to unsigned.
+    if (quantum && size.value > kMaxQubits - total_qubits_)
+      fail_at(size, "qreg " + name + "[" + size.text + "] would bring the " +
+                        "register total above " + std::to_string(kMaxQubits) +
+                        " qubits");
     expect(TokKind::RBracket, "']'");
     expect(TokKind::Semicolon, "';'");
     if (!quantum) return;  // classical registers only sink measurements
@@ -200,6 +208,23 @@ class Parser {
   }
 
   // expression evaluation over a parameter environment ---------------------
+
+  /// Evaluates one gate-parameter expression. A non-finite value (1/0,
+  /// ln(0), ...) would run to a NaN state, so it is rejected at the
+  /// expression's position.
+  double eval_param(const std::vector<Token>& expr,
+                    const std::map<std::string, double>& env) {
+    const double v = eval_expr(expr, env);
+    if (!std::isfinite(v)) {
+      std::string text;
+      for (const Token& t : expr) text += t.text;
+      fail_at(expr.front(), "gate parameter '" + text +
+                                "' evaluates to the non-finite value " +
+                                std::to_string(v));
+    }
+    return v;
+  }
+
   double eval_expr(const std::vector<Token>& toks,
                    const std::map<std::string, double>& env) {
     std::size_t p = 0;
@@ -293,8 +318,8 @@ class Parser {
 
   // gate application --------------------------------------------------------
   struct Operand {
-    std::string reg;
-    std::optional<unsigned> index;  // nullopt = whole register broadcast
+    Token reg;                      // the register name, for its position
+    std::optional<Token> index;     // nullopt = whole register broadcast
   };
 
   void parse_gate_call() {
@@ -313,23 +338,22 @@ class Parser {
           if (depth == 0) { eat(); break; }
         }
         if (at(TokKind::Comma) && depth == 1) {
-          params.push_back(eval_expr(expr, {}));
+          params.push_back(eval_param(expr, {}));
           expr.clear();
           eat();
           continue;
         }
         expr.push_back(eat());
       }
-      if (!expr.empty()) params.push_back(eval_expr(expr, {}));
+      if (!expr.empty()) params.push_back(eval_param(expr, {}));
     }
     std::vector<Operand> ops;
     while (!at(TokKind::Semicolon)) {
       Operand op;
-      op.reg = expect(TokKind::Identifier, "qubit operand").text;
+      op.reg = expect(TokKind::Identifier, "qubit operand");
       if (at(TokKind::LBracket)) {
         eat();
-        op.index = static_cast<unsigned>(
-            expect(TokKind::Integer, "qubit index").value);
+        op.index = expect(TokKind::Integer, "qubit index");
         expect(TokKind::RBracket, "']'");
       }
       ops.push_back(std::move(op));
@@ -337,24 +361,32 @@ class Parser {
     }
     eat();  // ;
 
-    // Broadcast over whole-register operands.
-    unsigned bcast = 1;
+    // Resolve every operand's register and check explicit indices at the
+    // operand's own position, before anything is applied.
+    std::vector<Reg> regs;
+    unsigned bcast = 1;  // broadcast over whole-register operands
     for (const auto& op : ops) {
-      if (op.index) continue;
-      const auto it = qregs_.find(op.reg);
-      if (it == qregs_.end()) fail("unknown qreg " + op.reg);
-      if (bcast != 1 && it->second.size != bcast)
-        fail("broadcast size mismatch");
-      bcast = it->second.size;
+      const auto it = qregs_.find(op.reg.text);
+      if (it == qregs_.end()) fail_at(op.reg, "unknown qreg " + op.reg.text);
+      const Reg& reg = it->second;
+      regs.push_back(reg);
+      if (op.index) {
+        if (op.index->value >= reg.size)
+          fail_at(op.reg, "qubit index " + op.index->text +
+                              " out of range for qreg " + op.reg.text + "[" +
+                              std::to_string(reg.size) + "]");
+        continue;
+      }
+      if (bcast != 1 && reg.size != bcast)
+        fail_at(op.reg, "broadcast size mismatch");
+      bcast = reg.size;
     }
     for (unsigned b = 0; b < bcast; ++b) {
       std::vector<Qubit> qs;
-      for (const auto& op : ops) {
-        const auto it = qregs_.find(op.reg);
-        if (it == qregs_.end()) fail("unknown qreg " + op.reg);
-        const unsigned idx = op.index ? *op.index : b;
-        if (idx >= it->second.size) fail("qubit index out of range");
-        qs.push_back(it->second.offset + idx);
+      for (std::size_t i = 0; i < ops.size(); ++i) {
+        const unsigned idx =
+            ops[i].index ? static_cast<unsigned>(ops[i].index->value) : b;
+        qs.push_back(regs[i].offset + idx);
       }
       apply_named(name, params, qs);
     }
@@ -377,7 +409,7 @@ class Parser {
       for (const auto& call : def.body) {
         std::vector<double> sub_params;
         for (const auto& expr : call.param_exprs)
-          sub_params.push_back(eval_expr(expr, env));
+          sub_params.push_back(eval_param(expr, env));
         std::vector<Qubit> sub_qs;
         for (const auto& a : call.arg_names) {
           const auto q = qenv.find(a);
@@ -404,6 +436,9 @@ class Parser {
     g.params.assign(ps.begin(), ps.end());
     circuit_.add(std::move(g));
   }
+
+  /// Largest register total: amplitude indices are 64-bit.
+  static constexpr unsigned kMaxQubits = 63;
 
   std::vector<Token> toks_;
   std::size_t pos_ = 0;

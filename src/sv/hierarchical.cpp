@@ -131,7 +131,7 @@ void run_part(const PreparedPart& p, StateVector& outer,
 
 }  // namespace
 
-HierarchicalStats run_hierarchical(
+std::map<std::string, double> run_hierarchical(
     const Circuit& c, const partition::Partitioning& parts,
     StateVector& state, std::span<const partition::Partitioning> inner,
     const KernelOps* ops) {
@@ -141,7 +141,8 @@ HierarchicalStats run_hierarchical(
                   "need one inner partitioning per part, got "
                       << inner.size() << " for " << parts.num_parts());
 
-  HierarchicalStats stats;
+  Index outer_bytes = 0, inner_bytes = 0;
+  double flops = 0.0;
   std::vector<PreparedPart> prepared;
   prepared.reserve(parts.num_parts());
   unsigned widest = 0, widest_inner = 0;
@@ -152,9 +153,9 @@ HierarchicalStats run_hierarchical(
     widest = std::max(widest, p.width);
     for (const PreparedPart& ip : p.inner)
       widest_inner = std::max(widest_inner, ip.width);
-    stats.outer_bytes_moved += 2 * state.bytes();  // gather + scatter
-    stats.inner_bytes_touched += p.bytes_touched;
-    stats.flops += p.flops;
+    outer_bytes += 2 * state.bytes();  // gather + scatter
+    inner_bytes += p.bytes_touched;
+    flops += p.flops;
   }
 
   // One inner buffer per level, sized for that level's widest part.
@@ -170,10 +171,12 @@ HierarchicalStats run_hierarchical(
     span.arg("gates", static_cast<std::int64_t>(p.gates.size()));
     run_part(p, state, buffers, kops, &clock);
   }
-  stats.gather_seconds = clock.gather.seconds();
-  stats.execute_seconds = clock.execute.seconds();
-  stats.scatter_seconds = clock.scatter.seconds();
-  return stats;
+  return {{"gather.seconds", clock.gather.seconds()},
+          {"apply.seconds", clock.execute.seconds()},
+          {"scatter.seconds", clock.scatter.seconds()},
+          {"sv.outer_bytes_moved", static_cast<double>(outer_bytes)},
+          {"sv.inner_bytes_touched", static_cast<double>(inner_bytes)},
+          {"sv.flops", flops}};
 }
 
 }  // namespace hisim::sv

@@ -1,26 +1,14 @@
 #pragma once
 
+#include <map>
 #include <span>
+#include <string>
 
 #include "partition/partition.hpp"
 #include "sv/kernel_dispatch.hpp"
 #include "sv/state_vector.hpp"
 
 namespace hisim::sv {
-
-/// Per-run accounting of the Gather-Execute-Scatter model. Byte counts
-/// follow the paper's memory-traffic reasoning: gather/scatter stream the
-/// full outer state vector once each per part, while gate execution stays
-/// inside the (cache-sized) inner vectors. Only the outermost level is
-/// timed; the traffic and FLOP counts cover every level.
-struct HierarchicalStats {
-  double gather_seconds = 0.0;
-  double execute_seconds = 0.0;
-  double scatter_seconds = 0.0;
-  Index outer_bytes_moved = 0;      // bytes read+written on the outer vector
-  Index inner_bytes_touched = 0;    // bytes processed inside inner vectors
-  double flops = 0.0;
-};
 
 /// Algorithm 1: for each part of `parts`, for every assignment of the
 /// qubits outside the part, gather the matching amplitudes of `state`
@@ -39,7 +27,15 @@ struct HierarchicalStats {
 /// increasing or out of range, or a gate touching a qubit outside its
 /// part. `ops` selects the kernel tier (nullptr = the Auto-resolved
 /// default). Outermost parts emit `part` trace spans.
-HierarchicalStats run_hierarchical(
+///
+/// Returns the run's metrics under their Result::metrics keys.
+/// "gather.seconds", "apply.seconds" and "scatter.seconds" time the
+/// outermost level only. The byte counts follow the paper's memory-traffic
+/// reasoning and cover every level: "sv.outer_bytes_moved" counts gather
+/// and scatter streaming the full outer vector once each per part,
+/// "sv.inner_bytes_touched" the gate execution inside the (cache-sized)
+/// inner vectors; "sv.flops" counts the arithmetic.
+std::map<std::string, double> run_hierarchical(
     const Circuit& c, const partition::Partitioning& parts,
     StateVector& state, std::span<const partition::Partitioning> inner = {},
     const KernelOps* ops = nullptr);

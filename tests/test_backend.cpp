@@ -16,6 +16,7 @@
 #include "dist/dist_state.hpp"
 #include "dist/hisvsim_dist.hpp"
 #include "dist/iqs_baseline.hpp"
+#include "hisvsim/engine.hpp"
 #include "sv/simulator.hpp"
 #include "testing/random_circuits.hpp"
 
@@ -40,6 +41,16 @@ void scribble(DistState& st) {
     for (Index i = 0; i < st.local(r).size(); ++i)
       st.local(r)[i] =
           cplx(static_cast<double>(st.layout().global_index(r, i)), 0.25);
+}
+
+/// The modeled comm accounting both distributed executors report.
+void expect_same_comm(const std::map<std::string, double>& a,
+                      const std::map<std::string, double>& b,
+                      const std::string& what) {
+  for (const char* key :
+       {"exchange.count", "exchange.messages", "exchange.bytes",
+        "exchange.modeled_max_seconds", "exchange.modeled_avg_seconds"})
+    EXPECT_EQ(a.at(key), b.at(key)) << what << " " << key;
 }
 
 /// Random subset of at most n - p qubits (possibly empty).
@@ -122,20 +133,21 @@ TEST_P(BackendCircuitParity, StatesAndStatsMatchSerial) {
   const auto& tc = GetParam();
   const Circuit c = circuits::make_by_name(tc.name, tc.qubits);
 
-  auto run_with = [&](CommBackend& backend, DistState& state) {
-    DistributedHiSvSim::Options opt;
-    opt.process_qubits = tc.p;
-    opt.level2_limit = tc.level2;
-    opt.backend = &backend;
-    return DistributedHiSvSim().run(c, opt, state);
-  };
+  // One plan, executed through each backend: the shard contents (and
+  // final layouts) must match bit for bit.
+  DistOptions opt;
+  opt.process_qubits = tc.p;
+  opt.level2_limit = tc.level2;
+  const DistPlan plan = compile_plan(c, opt);
   DistState serial_st(tc.qubits, tc.p), threaded_st(tc.qubits, tc.p);
-  const DistRunReport serial_rep = run_with(serial_backend(), serial_st);
-  const DistRunReport threaded_rep = run_with(threaded_backend(), threaded_st);
+  const auto serial_rep = execute_plan(plan, serial_st, {}, &serial_backend());
+  const auto threaded_rep =
+      execute_plan(plan, threaded_st, {}, &threaded_backend());
 
   expect_bit_identical(serial_st, threaded_st);
-  EXPECT_EQ(serial_rep.comm, threaded_rep.comm);
-  EXPECT_EQ(serial_rep.parts, threaded_rep.parts);
+  expect_same_comm(serial_rep, threaded_rep, tc.name);
+  EXPECT_EQ(serial_rep.at("step.wall_seconds.count"),
+            threaded_rep.at("step.wall_seconds.count"));
 
   // Both stay correct against the flat reference.
   const sv::StateVector flat = sv::FlatSimulator().simulate(c);
@@ -159,34 +171,33 @@ TEST(BackendParity, IqsBaselineMatchesSerial) {
   for (const char* name : {"bv", "qft", "cc"}) {
     const Circuit c = circuits::make_by_name(name, 8);
     DistState serial_st(8, 2), threaded_st(8, 2);
-    const IqsRunReport a =
-        IqsBaselineSimulator().run(c, serial_st, {}, &serial_backend());
-    const IqsRunReport b =
-        IqsBaselineSimulator().run(c, threaded_st, {}, &threaded_backend());
+    const auto a = run_iqs_baseline(c, serial_st, {}, &serial_backend());
+    const auto b = run_iqs_baseline(c, threaded_st, {}, &threaded_backend());
     expect_bit_identical(serial_st, threaded_st);
-    EXPECT_EQ(a.comm, b.comm) << name;
+    expect_same_comm(a, b, name);
   }
 }
 
 TEST(Backend, MeasuredTimesAreReportedAndBounded) {
   const Circuit c = circuits::qft(9);
   for (BackendKind kind : {BackendKind::Serial, BackendKind::Threaded}) {
-    DistState state(9, 2);
-    DistributedHiSvSim::Options opt;
+    Options opt;
+    opt.target = target_for_backend(kind);
     opt.process_qubits = 2;
-    opt.backend = &backend_for(kind);
-    const DistRunReport rep = DistributedHiSvSim().run(c, opt, state);
+    opt.opt_level = 0;
+    const Result r = Engine::compile(c, opt).execute();
 
-    EXPECT_GT(rep.measured_wall_seconds, 0.0);
-    EXPECT_GT(rep.measured_comm_seconds, 0.0);  // qft relayouts at least once
-    const double overlap = rep.measured_overlap_seconds;
+    EXPECT_GT(r.metric("step.wall_seconds.sum"), 0.0);
+    const double comm = r.metric("exchange.measured_seconds.sum");
+    const double compute = r.metric("compute.seconds");
+    EXPECT_GT(comm, 0.0);  // qft relayouts at least once
+    const double overlap = r.metric("exchange.overlap_seconds.sum");
     EXPECT_GE(overlap, 0.0);
     // Overlap is a window intersection: it cannot exceed the comm window,
     // the compute window, or (a fortiori) their sum.
-    EXPECT_LE(overlap, rep.measured_comm_seconds + 1e-9);
-    EXPECT_LE(overlap, rep.compute_seconds + 1e-9);
-    EXPECT_LE(overlap,
-              rep.measured_comm_seconds + rep.compute_seconds + 1e-9);
+    EXPECT_LE(overlap, comm + 1e-9);
+    EXPECT_LE(overlap, compute + 1e-9);
+    EXPECT_LE(overlap, comm + compute + 1e-9);
     if (kind == BackendKind::Serial) {
       // Synchronous backend: the exchange finished before any rank began
       // computing, so the windows never intersect.

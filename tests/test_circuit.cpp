@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "common/error.hpp"
 
 namespace hisim {
@@ -13,6 +16,15 @@ TEST(Circuit, AddValidatesQubitRange) {
   EXPECT_THROW(c.add(Gate::h(3)), Error);
   EXPECT_THROW(c.add(Gate::cx(0, 5)), Error);
   EXPECT_EQ(c.num_gates(), 1u);
+}
+
+TEST(Circuit, AddRejectsNonFiniteAngles) {
+  const double inf = std::numeric_limits<double>::infinity();
+  Circuit c(2);
+  EXPECT_THROW(c.add(Gate::rz(0, inf)), Error);
+  EXPECT_THROW(c.add(Gate::u3(1, 0.1, std::nan(""), 0.2)), Error);
+  EXPECT_THROW(c.add(Gate::rx(0, c.param("theta") * inf)), Error);
+  EXPECT_EQ(c.num_gates(), 0u);
 }
 
 TEST(Circuit, DepthLinearChain) {

@@ -4,10 +4,21 @@
 
 #include "circuits/generators.hpp"
 #include "dist/dist_state.hpp"
+#include "hisvsim/engine.hpp"
 #include "sv/simulator.hpp"
 
 namespace hisim::dist {
 namespace {
+
+/// Compiles `c` exactly as given for a distributed target on 2^p ranks.
+Options dist_options(unsigned p,
+                     Target target = Target::DistributedSerial) {
+  Options opt;
+  opt.target = target;
+  opt.process_qubits = p;
+  opt.opt_level = 0;
+  return opt;
+}
 
 TEST(DistState, InitialStateIsGround) {
   DistState st(6, 2);
@@ -58,17 +69,14 @@ class DistributedMatchesFlat : public ::testing::TestWithParam<DistCase> {};
 TEST_P(DistributedMatchesFlat, SameAmplitudes) {
   const DistCase& tc = GetParam();
   const Circuit c = circuits::make_by_name(tc.name, tc.qubits);
-  DistState state(tc.qubits, tc.p);
-  DistributedHiSvSim::Options opt;
-  opt.process_qubits = tc.p;
-  opt.part.strategy = tc.strategy;
+  Options opt = dist_options(tc.p);
+  opt.strategy = tc.strategy;
   opt.level2_limit = tc.level2;
-  const DistRunReport rep = DistributedHiSvSim().run(c, opt, state);
+  const Result r = Engine::compile(c, opt).execute();
   const sv::StateVector flat = sv::FlatSimulator().simulate(c);
-  EXPECT_LT(state.to_state_vector().max_abs_diff(flat), 1e-10)
-      << tc.name << " p=" << tc.p;
-  EXPECT_GT(rep.parts, 0u);
-  EXPECT_EQ(rep.ranks, 1u << tc.p);
+  EXPECT_LT(r.state.max_abs_diff(flat), 1e-10) << tc.name << " p=" << tc.p;
+  EXPECT_GT(r.parts, 0u);
+  EXPECT_EQ(r.ranks, 1u << tc.p);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -94,29 +102,24 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Distributed, AtMostOneRedistributionPerPart) {
   const Circuit c = circuits::cat_state(8);
-  DistState state(8, 2);
-  DistributedHiSvSim::Options opt;
-  opt.process_qubits = 2;
-  const DistRunReport rep = DistributedHiSvSim().run(c, opt, state);
+  const Result r = Engine::compile(c, dist_options(2)).execute();
   // A part whose qubits are already local (the first one under the
   // identity layout) costs no exchange, so exchanges <= parts.
-  EXPECT_GT(rep.parts, 1u);
-  EXPECT_LE(rep.comm.exchanges, rep.parts);
-  EXPECT_GE(rep.comm.exchanges, 1u);
+  EXPECT_GT(r.parts, 1u);
+  EXPECT_LE(r.metric("exchange.count"), static_cast<double>(r.parts));
+  EXPECT_GE(r.metric("exchange.count"), 1.0);
 }
 
 TEST(Distributed, CommDecreasesWithFewerParts) {
   const Circuit c = circuits::ising(9, 3, 5);
-  DistributedHiSvSim sim;
-  DistState s1(9, 2), s2(9, 2);
-  DistributedHiSvSim::Options nat, dagp;
-  nat.process_qubits = dagp.process_qubits = 2;
-  nat.part.strategy = partition::Strategy::Nat;
-  dagp.part.strategy = partition::Strategy::DagP;
-  const auto rep_nat = sim.run(c, nat, s1);
-  const auto rep_dagp = sim.run(c, dagp, s2);
+  Options nat = dist_options(2), dagp = dist_options(2);
+  nat.strategy = partition::Strategy::Nat;
+  dagp.strategy = partition::Strategy::DagP;
+  const Result rep_nat = Engine::compile(c, nat).execute();
+  const Result rep_dagp = Engine::compile(c, dagp).execute();
   EXPECT_LE(rep_dagp.parts, rep_nat.parts);
-  EXPECT_LE(rep_dagp.comm.exchanges, rep_nat.comm.exchanges);
+  EXPECT_LE(rep_dagp.metric("exchange.count"),
+            rep_nat.metric("exchange.count"));
 }
 
 TEST(DistState, RedistributeRejectsMismatchedTarget) {
@@ -153,27 +156,24 @@ TEST(DistState, RedistributeWithExplicitBackendsAgree) {
 
 TEST(Distributed, ThreadedBackendMatchesFlatReference) {
   const Circuit c = circuits::qft(9);
-  DistState state(9, 2);
-  DistributedHiSvSim::Options opt;
-  opt.process_qubits = 2;
-  opt.backend = &threaded_backend();
-  const DistRunReport rep = DistributedHiSvSim().run(c, opt, state);
+  const Result r =
+      Engine::compile(c, dist_options(2, Target::DistributedThreaded))
+          .execute();
   const sv::StateVector flat = sv::FlatSimulator().simulate(c);
-  EXPECT_LT(state.to_state_vector().max_abs_diff(flat), 1e-10);
-  EXPECT_GT(rep.measured_wall_seconds, 0.0);
-  EXPECT_GE(rep.measured_overlap_seconds, 0.0);
+  EXPECT_LT(r.state.max_abs_diff(flat), 1e-10);
+  EXPECT_GT(r.metric("step.wall_seconds.sum"), 0.0);
+  EXPECT_GE(r.metric("exchange.overlap_seconds.sum"), 0.0);
 }
 
 TEST(Distributed, ReportTotalsConsistent) {
   const Circuit c = circuits::qft(8);
-  DistState state(8, 2);
-  DistributedHiSvSim::Options opt;
-  opt.process_qubits = 2;
-  const DistRunReport rep = DistributedHiSvSim().run(c, opt, state);
-  EXPECT_NEAR(rep.total_seconds(),
-              rep.compute_seconds + rep.comm.modeled_max_seconds, 1e-12);
-  EXPECT_GE(rep.comm_ratio(), 0.0);
-  EXPECT_LE(rep.comm_ratio(), 1.0);
+  const Result r = Engine::compile(c, dist_options(2)).execute();
+  EXPECT_NEAR(r.total_seconds(),
+              r.metric("compute.seconds") +
+                  r.metric("exchange.modeled_max_seconds"),
+              1e-12);
+  EXPECT_GE(r.comm_ratio(), 0.0);
+  EXPECT_LE(r.comm_ratio(), 1.0);
 }
 
 }  // namespace

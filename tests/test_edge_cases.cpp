@@ -96,11 +96,11 @@ TEST(EdgeCase, TwoLocalQubitsExtreme) {
   c.add(Gate::cx(0, 1));
   c.add(Gate::cx(1, 2));
   c.add(Gate::cx(2, 3));
-  dist::DistState state(4, 2);
-  dist::DistributedHiSvSim::Options opt;
+  Options opt;
+  opt.target = Target::DistributedSerial;
   opt.process_qubits = 2;
-  dist::DistributedHiSvSim().run(c, opt, state);
-  EXPECT_LT(state.to_state_vector().max_abs_diff(
+  opt.opt_level = 0;
+  EXPECT_LT(Engine::compile(c, opt).execute().state.max_abs_diff(
                 sv::FlatSimulator().simulate(c)),
             1e-10);
 }
@@ -109,10 +109,11 @@ TEST(EdgeCase, OneLocalQubitWithTwoQubitGatesRejected) {
   // l = 1 cannot hold a CX part; the runner must fail loudly, not wedge.
   Circuit c(4);
   c.add(Gate::cx(0, 1));
-  dist::DistState state(4, 3);
-  dist::DistributedHiSvSim::Options opt;
+  Options opt;
+  opt.target = Target::DistributedSerial;
   opt.process_qubits = 3;
-  EXPECT_THROW(dist::DistributedHiSvSim().run(c, opt, state), Error);
+  opt.opt_level = 0;
+  EXPECT_THROW(Engine::compile(c, opt).execute(), Error);
 }
 
 TEST(EdgeCase, IqsAllGlobalGates) {
@@ -123,11 +124,11 @@ TEST(EdgeCase, IqsAllGlobalGates) {
   c.add(Gate::cx(4, 5));
   c.add(Gate::x(5));
   dist::DistState state(6, 2);
-  const auto rep = dist::IqsBaselineSimulator().run(c, state);
+  const auto metrics = dist::run_iqs_baseline(c, state);
   EXPECT_LT(state.to_state_vector().max_abs_diff(
                 sv::FlatSimulator().simulate(c)),
             1e-10);
-  EXPECT_GE(rep.comm.exchanges, 3u);
+  EXPECT_GE(metrics.at("exchange.count"), 3.0);
 }
 
 TEST(EdgeCase, IqsBothGlobalSwap) {
@@ -135,7 +136,7 @@ TEST(EdgeCase, IqsBothGlobalSwap) {
   c.add(Gate::h(4));
   c.add(Gate::swap(4, 5));
   dist::DistState state(6, 2);
-  dist::IqsBaselineSimulator().run(c, state);
+  dist::run_iqs_baseline(c, state);
   const auto flat = sv::FlatSimulator().simulate(c);
   EXPECT_LT(state.to_state_vector().max_abs_diff(flat), 1e-10);
 }
@@ -146,7 +147,7 @@ TEST(EdgeCase, IqsGenericGlobalGate) {
   c.add(Gate::h(0));
   c.add(Gate::rxx(0, 5, 0.9));
   dist::DistState state(6, 2);
-  dist::IqsBaselineSimulator().run(c, state);
+  dist::run_iqs_baseline(c, state);
   EXPECT_LT(state.to_state_vector().max_abs_diff(
                 sv::FlatSimulator().simulate(c)),
             1e-10);

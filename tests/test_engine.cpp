@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -99,26 +100,26 @@ TEST(Engine, MatchesLegacyPathsBitForBit) {
                          "multilevel");
   }
   for (Target t : {Target::DistributedSerial, Target::DistributedThreaded}) {
-    // Distributed vs DistributedHiSvSim::run on a fresh DistState.
+    // Distributed vs compile_plan + execute_plan on a fresh DistState.
     Options o;
     o.target = t;
     o.process_qubits = 2;
     dist::DistState state(n, 2);
     dist::DistOptions dopt;
     dopt.process_qubits = 2;
-    dopt.backend = t == Target::DistributedThreaded
-                       ? &dist::threaded_backend()
-                       : &dist::serial_backend();
-    dist::DistributedHiSvSim().run(c, dopt, state);
+    dist::execute_plan(dist::compile_plan(c, dopt), state, {},
+                       t == Target::DistributedThreaded
+                           ? &dist::threaded_backend()
+                           : &dist::serial_backend());
     expect_bit_identical(Engine::compile(c, o).execute().state,
                          state.to_state_vector(), target_name(t));
   }
-  {  // IQS baseline vs IqsBaselineSimulator.
+  {  // IQS baseline vs run_iqs_baseline.
     Options o;
     o.target = Target::IqsBaseline;
     o.process_qubits = 2;
     dist::DistState state(n, 2);
-    dist::IqsBaselineSimulator().run(c, state);
+    dist::run_iqs_baseline(c, state);
     expect_bit_identical(Engine::compile(c, o).execute().state,
                          state.to_state_vector(), "iqs-baseline");
   }
@@ -142,9 +143,11 @@ TEST(Engine, PartitionWorkOnlyAtCompile) {
     EXPECT_EQ(partition::partition_invocations(), after_compile)
         << "execute() re-partitioned on " << target_name(o.target);
 
-    EXPECT_EQ(r1.partition_seconds, plan.partition_seconds());
-    EXPECT_EQ(r2.partition_seconds, plan.partition_seconds());
-    EXPECT_EQ(r1.compile_seconds, plan.compile_seconds());
+    EXPECT_EQ(r1.metric("compile.partition_seconds"),
+              plan.partition_seconds());
+    EXPECT_EQ(r2.metric("compile.partition_seconds"),
+              plan.partition_seconds());
+    EXPECT_EQ(r1.metric("compile.total_seconds"), plan.compile_seconds());
     EXPECT_EQ(r1.parts, plan.num_parts());
     EXPECT_EQ(r1.inner_parts, plan.num_inner_parts());
   }
@@ -232,30 +235,55 @@ TEST(Engine, ShotsAndObservablesFirstClass) {
   EXPECT_EQ(r.samples, r2.samples);
 }
 
+/// The top-level keys of a Result::to_json() document, in order (one key
+/// per line; nested objects stay on their key's line).
+std::vector<std::string> json_keys(const std::string& json) {
+  std::vector<std::string> keys;
+  std::istringstream in(json);
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("  \"", 0) != 0) continue;
+    keys.push_back(line.substr(3, line.find('"', 3) - 3));
+  }
+  return keys;
+}
+
+// The report schema, pinned per target: exactly these keys, in this order.
 TEST(Engine, ResultJsonCarriesReportFields) {
+  const std::vector<std::string> head = {
+      "circuit", "qubits", "gates", "target", "strategy", "opt_level",
+      "gates_pre_opt", "kernel", "opt_passes", "parts", "inner_parts",
+      "compile_seconds", "partition_seconds", "execute_wall_seconds"};
+  const std::vector<std::string> single = {
+      "gather_seconds", "apply_seconds", "scatter_seconds",
+      "outer_bytes_moved", "inner_bytes_touched", "flops"};
+  const std::vector<std::string> sharded = {
+      "ranks", "comm_exchanges", "comm_messages", "comm_bytes",
+      "comm_seconds_modeled", "comm_seconds_modeled_avg",
+      "comm_seconds_measured", "wall_seconds_measured",
+      "overlap_seconds_measured", "compute_seconds",
+      "total_seconds_overlapped", "comm_ratio"};
+  const std::vector<std::string> tail = {"total_seconds", "metrics", "shots",
+                                         "norm"};
+
   const Circuit c = circuits::bv(8);
-  {
-    Options o;
-    o.target = Target::DistributedThreaded;
-    o.process_qubits = 2;
+  for (Options o : all_target_options()) {
+    const char* name = target_name(o.target);
     ExecOptions x;
     x.shots = 8;
     const std::string j = Engine::compile(c, o).execute(x).to_json();
-    for (const char* key :
-         {"\"circuit\": \"bv\"", "\"target\": \"distributed-threaded\"",
-          "\"parts\":", "\"ranks\": 4", "\"compile_seconds\":",
-          "\"partition_seconds\":", "\"execute_wall_seconds\":",
-          "\"comm_bytes\":", "\"comm_seconds_modeled\":",
-          "\"wall_seconds_measured\":", "\"shots\": 8", "\"norm\":"})
-      EXPECT_NE(j.find(key), std::string::npos) << key << "\n" << j;
-  }
-  {
-    const std::string j = Engine::compile(c, Options{}).execute().to_json();
-    for (const char* key : {"\"target\": \"hierarchical\"",
-                            "\"gather_seconds\":", "\"apply_seconds\":",
-                            "\"scatter_seconds\":", "\"outer_bytes_moved\":"})
-      EXPECT_NE(j.find(key), std::string::npos) << key << "\n" << j;
-    EXPECT_EQ(j.find("\"comm_bytes\""), std::string::npos) << j;
+    std::vector<std::string> want = head;
+    const auto& middle = target_is_distributed(o.target) ? sharded : single;
+    want.insert(want.end(), middle.begin(), middle.end());
+    want.insert(want.end(), tail.begin(), tail.end());
+    EXPECT_EQ(json_keys(j), want) << name << "\n" << j;
+    const std::string target_kv = "\"target\": \"" + std::string(name) + "\"";
+    for (const std::string& kv :
+         {std::string("\"circuit\": \"bv\""), target_kv,
+          std::string("\"shots\": 8")})
+      EXPECT_NE(j.find(kv), std::string::npos) << kv << "\n" << j;
+    if (target_is_distributed(o.target)) {
+      EXPECT_NE(j.find("\"ranks\": 4"), std::string::npos) << j;
+    }
   }
 }
 
@@ -286,7 +314,7 @@ TEST(Engine, ReportOnlyExecutionSkipsState) {
   EXPECT_EQ(r.state.size(), 0u);
   EXPECT_NEAR(r.norm, 1.0, 1e-10);
   EXPECT_EQ(r.parts, plan.num_parts());
-  EXPECT_GT(r.comm.exchanges, 0u);
+  EXPECT_GT(r.metric("exchange.count"), 0.0);
 
   // Shots force the gather internally but the state is still dropped.
   x.shots = 4;

@@ -31,11 +31,12 @@ TEST_P(HierarchicalMatchesFlat, SameAmplitudes) {
 
   const StateVector flat = FlatSimulator().simulate(c);
   StateVector hier(c.num_qubits());
-  const HierarchicalStats stats = run_hierarchical(c, parts, hier);
+  const auto metrics = run_hierarchical(c, parts, hier);
   EXPECT_LT(hier.max_abs_diff(flat), 1e-10)
       << tc.name << " " << partition::strategy_name(tc.strategy);
   // Gather reads and scatter writes the whole outer vector once per part.
-  EXPECT_EQ(stats.outer_bytes_moved, parts.num_parts() * 2 * hier.bytes());
+  EXPECT_EQ(metrics.at("sv.outer_bytes_moved"),
+            static_cast<double>(parts.num_parts() * 2 * hier.bytes()));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -95,7 +96,7 @@ TEST(Hierarchical, StatsTrafficScalesWithParts) {
   const auto st1 = run_hierarchical(c, coarse, s1);
   const auto st2 = run_hierarchical(c, fine, s2);
   EXPECT_GT(fine.num_parts(), coarse.num_parts());
-  EXPECT_GT(st2.outer_bytes_moved, st1.outer_bytes_moved);
+  EXPECT_GT(st2.at("sv.outer_bytes_moved"), st1.at("sv.outer_bytes_moved"));
   EXPECT_LT(s1.max_abs_diff(s2), 1e-10);
 }
 
@@ -104,8 +105,7 @@ TEST(Hierarchical, FlopsAccounted) {
   const dag::CircuitDag d(c);
   const partition::Partitioning p = partition::partition_nat(d, 4);
   StateVector s(8);
-  const auto stats = run_hierarchical(c, p, s);
-  EXPECT_GT(stats.flops, 0.0);
+  EXPECT_GT(run_hierarchical(c, p, s).at("sv.flops"), 0.0);
 }
 
 // Malformed parts are rejected before any amplitude moves.

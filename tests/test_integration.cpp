@@ -79,7 +79,7 @@ TEST_P(FullPipeline, AllPathsAgreeOnSuiteCircuit) {
     const auto state = Engine::compile(c, opt).execute().state;
     EXPECT_LT(state.max_abs_diff(ref), 1e-9) << name << " distributed";
     dist::DistState iqs_state(n, 2);
-    dist::IqsBaselineSimulator().run(c, iqs_state);
+    dist::run_iqs_baseline(c, iqs_state);
     EXPECT_LT(iqs_state.to_state_vector().max_abs_diff(ref), 1e-9)
         << name << " iqs";
   }
@@ -107,12 +107,13 @@ TEST(Integration, FusionThenDistributedThenSampling) {
   // simulated cluster, then sample outcomes.
   const Circuit c = circuits::ising(10, 3, 21);
   const Circuit fused = fuse(c, {.max_qubits = 3, .keep_wide_gates = true});
-  dist::DistState state(10, 2);
-  dist::DistributedHiSvSim::Options opt;
+  Options opt;
+  opt.target = Target::DistributedSerial;
   opt.process_qubits = 2;
-  const auto rep = dist::DistributedHiSvSim().run(fused, opt, state);
-  EXPECT_GT(rep.parts, 0u);
-  const auto sv_full = state.to_state_vector();
+  opt.opt_level = 0;
+  const Result r = Engine::compile(fused, opt).execute();
+  EXPECT_GT(r.parts, 0u);
+  const auto& sv_full = r.state;
   EXPECT_LT(sv_full.max_abs_diff(sv::FlatSimulator().simulate(c)), 1e-9);
   Rng rng(4);
   const auto shots = sv::sample(sv_full, 200, rng);
@@ -123,11 +124,12 @@ TEST(Integration, FusionThenDistributedThenSampling) {
 TEST(Integration, OverlappedTimeReportedForSuite) {
   for (const char* name : {"bv", "ising", "qaoa"}) {
     const Circuit c = circuits::make_by_name(name, 10);
-    dist::DistState state(10, 2);
-    dist::DistributedHiSvSim::Options opt;
+    Options opt;
+    opt.target = Target::DistributedSerial;
     opt.process_qubits = 2;
-    const auto rep = dist::DistributedHiSvSim().run(c, opt, state);
-    EXPECT_LE(rep.total_seconds_overlapped(), rep.total_seconds() + 1e-9)
+    opt.opt_level = 0;
+    const Result r = Engine::compile(c, opt).execute();
+    EXPECT_LE(r.total_seconds_overlapped(), r.total_seconds() + 1e-9)
         << name;
   }
 }

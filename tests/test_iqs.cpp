@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "circuits/generators.hpp"
-#include "dist/hisvsim_dist.hpp"
+#include "hisvsim/engine.hpp"
 #include "sv/simulator.hpp"
 
 namespace hisim::dist {
@@ -21,11 +21,10 @@ TEST_P(IqsMatchesFlat, SameAmplitudes) {
   const IqsCase& tc = GetParam();
   const Circuit c = circuits::make_by_name(tc.name, tc.qubits);
   DistState state(tc.qubits, tc.p);
-  const IqsRunReport rep = IqsBaselineSimulator().run(c, state);
+  run_iqs_baseline(c, state);
   const sv::StateVector flat = sv::FlatSimulator().simulate(c);
   EXPECT_LT(state.to_state_vector().max_abs_diff(flat), 1e-10)
       << tc.name << " p=" << tc.p;
-  EXPECT_EQ(rep.ranks, 1u << tc.p);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -46,9 +45,9 @@ TEST(Iqs, LocalGatesAreFree) {
   c.add(Gate::cx(0, 3));
   c.add(Gate::rz(2, 0.5));
   DistState state(6, 2);
-  const IqsRunReport rep = IqsBaselineSimulator().run(c, state);
-  EXPECT_EQ(rep.comm.bytes_total, 0u);
-  EXPECT_EQ(rep.comm.exchanges, 0u);
+  const auto metrics = run_iqs_baseline(c, state);
+  EXPECT_EQ(metrics.at("exchange.bytes"), 0.0);
+  EXPECT_EQ(metrics.at("exchange.count"), 0.0);
 }
 
 TEST(Iqs, DiagonalGlobalGatesAreFree) {
@@ -58,8 +57,7 @@ TEST(Iqs, DiagonalGlobalGatesAreFree) {
   c.add(Gate::cz(4, 5));      // diagonal two-qubit: free
   c.add(Gate::cp(0, 5, 0.3)); // diagonal: free
   DistState state(6, 2);
-  const IqsRunReport rep = IqsBaselineSimulator().run(c, state);
-  EXPECT_EQ(rep.comm.exchanges, 1u);
+  EXPECT_EQ(run_iqs_baseline(c, state).at("exchange.count"), 1.0);
 }
 
 TEST(Iqs, GlobalControlLocalTargetIsFree) {
@@ -67,8 +65,7 @@ TEST(Iqs, GlobalControlLocalTargetIsFree) {
   c.add(Gate::h(0));
   c.add(Gate::cx(5, 0));  // control global, target local: no comm
   DistState state(6, 2);
-  const IqsRunReport rep = IqsBaselineSimulator().run(c, state);
-  EXPECT_EQ(rep.comm.exchanges, 0u);
+  EXPECT_EQ(run_iqs_baseline(c, state).at("exchange.count"), 0.0);
 }
 
 TEST(Iqs, GlobalTargetCostsExchange) {
@@ -76,9 +73,9 @@ TEST(Iqs, GlobalTargetCostsExchange) {
   c.add(Gate::h(0));
   c.add(Gate::cx(0, 5));  // target global: pairwise exchange
   DistState state(6, 2);
-  const IqsRunReport rep = IqsBaselineSimulator().run(c, state);
-  EXPECT_EQ(rep.comm.exchanges, 1u);
-  EXPECT_GT(rep.comm.bytes_total, 0u);
+  const auto metrics = run_iqs_baseline(c, state);
+  EXPECT_EQ(metrics.at("exchange.count"), 1.0);
+  EXPECT_GT(metrics.at("exchange.bytes"), 0.0);
 }
 
 TEST(Iqs, HisvsimBeatsIqsOnCommForDeepCircuits) {
@@ -88,13 +85,16 @@ TEST(Iqs, HisvsimBeatsIqsOnCommForDeepCircuits) {
   // the paper's exception.
   const Circuit c = circuits::bv(9, 0xFF);
   const unsigned p = 2;
-  DistState s1(9, p), s2(9, p);
-  const IqsRunReport iqs = IqsBaselineSimulator().run(c, s1);
-  DistributedHiSvSim::Options opt;
+  DistState iqs_state(9, p);
+  const auto iqs = run_iqs_baseline(c, iqs_state);
+  Options opt;
+  opt.target = Target::DistributedSerial;
   opt.process_qubits = p;
-  const DistRunReport his = DistributedHiSvSim().run(c, opt, s2);
-  EXPECT_LT(s1.to_state_vector().max_abs_diff(s2.to_state_vector()), 1e-10);
-  EXPECT_LT(his.comm.modeled_max_seconds, iqs.comm.modeled_max_seconds);
+  opt.opt_level = 0;
+  const Result his = Engine::compile(c, opt).execute();
+  EXPECT_LT(iqs_state.to_state_vector().max_abs_diff(his.state), 1e-10);
+  EXPECT_LT(his.metric("exchange.modeled_max_seconds"),
+            iqs.at("exchange.modeled_max_seconds"));
 }
 
 TEST(Iqs, RequiresIdentityLayout) {
@@ -105,7 +105,7 @@ TEST(Iqs, RequiresIdentityLayout) {
   const RankLayout scrambled =
       RankLayout::for_part(6, 2, {4, 5}, state.layout());
   state.redistribute(scrambled, net, stats);
-  EXPECT_THROW(IqsBaselineSimulator().run(c, state), Error);
+  EXPECT_THROW(run_iqs_baseline(c, state), Error);
 }
 
 }  // namespace

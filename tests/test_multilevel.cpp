@@ -59,9 +59,9 @@ TEST_P(TwoLevelSim, MatchesFlat) {
   EXPECT_LT(state.max_abs_diff(flat), 1e-10) << tc.name;
   // Only level-1 parts stream the outer vector; inner parts stream their
   // parent's gathered vector.
-  EXPECT_EQ(stats.outer_bytes_moved,
-            two.level1.num_parts() * 2 * state.bytes());
-  EXPECT_GT(stats.inner_bytes_touched, 0u);
+  EXPECT_EQ(stats.at("sv.outer_bytes_moved"),
+            static_cast<double>(two.level1.num_parts() * 2 * state.bytes()));
+  EXPECT_GT(stats.at("sv.inner_bytes_touched"), 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(

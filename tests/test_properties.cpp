@@ -49,17 +49,17 @@ TEST_P(RandomCircuits, AllPathsAgree) {
   // Distributed HiSVSIM and the IQS baseline must agree with flat too.
   const unsigned p = 1 + static_cast<unsigned>(rng.below(2));
   {
-    dist::DistState state(n, p);
-    dist::DistributedHiSvSim::Options opt;
+    Options opt;
+    opt.target = Target::DistributedSerial;
     opt.process_qubits = p;
-    opt.part.seed = seed;
-    dist::DistributedHiSvSim().run(c, opt, state);
-    EXPECT_LT(state.to_state_vector().max_abs_diff(ref), 1e-9)
+    opt.seed = seed;
+    opt.opt_level = 0;
+    EXPECT_LT(Engine::compile(c, opt).execute().state.max_abs_diff(ref), 1e-9)
         << "dist seed " << seed;
   }
   {
     dist::DistState state(n, p);
-    dist::IqsBaselineSimulator().run(c, state);
+    dist::run_iqs_baseline(c, state);
     EXPECT_LT(state.to_state_vector().max_abs_diff(ref), 1e-9)
         << "iqs seed " << seed;
   }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "common/error.hpp"
 #include "qasm/lexer.hpp"
@@ -129,6 +130,46 @@ TEST(Parser, ErrorsAreInformative) {
   EXPECT_THROW(parse("qreg q[2]; frobnicate q[0];"), Error);
   EXPECT_THROW(parse("qreg q[2]; rz() q[0];"), Error);
   EXPECT_THROW(parse("qreg q[2]; reset q[0];"), Error);
+}
+
+/// The message of the Error parsing `source` throws ("" if it parses).
+std::string parse_error(const std::string& source) {
+  try {
+    parse(source);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Parser, RejectsNonFiniteParameters) {
+  // Reported at the expression's first token, top level and in gate bodies.
+  const std::string top = parse_error("qreg q[2];\nrz(1/0) q[0];");
+  EXPECT_NE(top.find("at 2:4:"), std::string::npos) << top;
+  EXPECT_NE(top.find("'1/0'"), std::string::npos) << top;
+  const std::string body =
+      parse_error("qreg q[1];\ngate g(a) x {\n  rx(ln(a)) x;\n}\ng(0) q[0];");
+  EXPECT_NE(body.find("at 3:6:"), std::string::npos) << body;
+  EXPECT_NE(body.find("non-finite"), std::string::npos) << body;
+}
+
+TEST(Parser, RejectsRegisterTotalAbove63Qubits) {
+  // Rejected at the size token, before the size is narrowed.
+  const std::string one = parse_error("qreg q[64];");
+  EXPECT_NE(one.find("at 1:8:"), std::string::npos) << one;
+  const std::string total = parse_error("qreg a[40];\nqreg b[24];");
+  EXPECT_NE(total.find("at 2:8:"), std::string::npos) << total;
+  EXPECT_NE(parse_error("qreg q[99999999999999999999];"), "");
+  EXPECT_EQ(parse("qreg q[63];").num_qubits(), 63u);
+  EXPECT_EQ(parse("qreg q[2]; creg c[64];").num_qubits(), 2u);
+}
+
+TEST(Parser, OutOfRangeQubitReportedAtOperand) {
+  const std::string e = parse_error("qreg q[2];\nh q[5];\nx q[0];");
+  EXPECT_NE(e.find("at 2:3:"), std::string::npos) << e;
+  EXPECT_NE(e.find("qubit index 5 out of range for qreg q[2]"),
+            std::string::npos)
+      << e;
 }
 
 TEST(Writer, RoundTripSimulatesIdentically) {

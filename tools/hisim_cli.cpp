@@ -184,11 +184,12 @@ int run_traced(const std::string& spec, const cli::Flags& f) {
         "target=%s parts=%zu total=%.4fs norm=%.12f "
         "comm=%.4fs wall=%.4fs overlap=%.4fs\n",
         target_name(r.target), r.parts, r.total_seconds(), r.norm,
-        r.measured_comm_seconds, r.measured_wall_seconds,
-        r.measured_overlap_seconds);
+        r.metric("exchange.measured_seconds.sum"),
+        r.metric("step.wall_seconds.sum"),
+        r.metric("exchange.overlap_seconds.sum"));
   } else {
     std::printf("target=%s parts=%zu compile=%.4fs total=%.4fs norm=%.12f\n",
-                target_name(r.target), r.parts, r.compile_seconds,
+                target_name(r.target), r.parts, plan.compile_seconds(),
                 r.total_seconds(), r.norm);
   }
 
