@@ -1,5 +1,6 @@
 #include "common/trace.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -24,8 +25,8 @@ struct Event {
   enum class Kind : std::uint8_t { Span, Counter };
   const char* name = nullptr;
   const char* category = nullptr;
-  const char* arg_key = nullptr;  // Span only; nullptr = no arg
-  std::int64_t arg = 0;
+  TraceSpan::Arg args[TraceSpan::kMaxArgs];  // Span only
+  int num_args = 0;
   std::uint64_t t0_ns = 0;   // since the collector's base clock
   std::uint64_t dur_ns = 0;  // Span only
   double value = 0.0;        // Counter only
@@ -302,8 +303,8 @@ TraceSpan::~TraceSpan() {
   e.kind = Event::Kind::Span;
   e.name = name_;
   e.category = category_;
-  e.arg_key = arg_key_;
-  e.arg = arg_;
+  std::copy(args_, args_ + num_args_, e.args);
+  e.num_args = num_args_;
   e.t0_ns = begin_ns_;
   e.dur_ns = collector().now_ns() - begin_ns_;
   push_event(e);
@@ -363,11 +364,12 @@ std::string TraceSession::chrome_json() {
                     static_cast<double>(e.dur_ns) * 1e-3);
       os << ", \"dur\": " << buf;
       os << ", \"pid\": 1, \"tid\": " << e.tid;
-      if (e.arg_key != nullptr) {
-        os << ", \"args\": {";
-        json_escaped(os, e.arg_key);
-        os << ": " << e.arg << '}';
+      for (int i = 0; i < e.num_args; ++i) {
+        os << (i == 0 ? ", \"args\": {" : ", ");
+        json_escaped(os, e.args[i].key);
+        os << ": " << e.args[i].value;
       }
+      if (e.num_args > 0) os << '}';
       os << '}';
     } else {
       os << "{\"name\": ";

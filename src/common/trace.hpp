@@ -155,19 +155,27 @@ class TraceSpan {
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
-  /// Attaches one integer argument (step index, rank, gate count) shown
+  /// Integer arguments one span carries; arg() calls past this are
+  /// dropped.
+  static constexpr int kMaxArgs = 2;
+
+  /// Attaches an integer argument (step index, rank, gate count) shown
   /// under the event in the trace viewer. `key` must be a literal.
   void arg(const char* key, std::int64_t value) {
-    arg_key_ = key;
-    arg_ = value;
+    if (num_args_ < kMaxArgs) args_[num_args_++] = {key, value};
   }
+
+  struct Arg {
+    const char* key = nullptr;
+    std::int64_t value = 0;
+  };
 
  private:
   bool active_;
   const char* name_ = nullptr;
   const char* category_ = nullptr;
-  const char* arg_key_ = nullptr;
-  std::int64_t arg_ = 0;
+  Arg args_[kMaxArgs];
+  int num_args_ = 0;
   std::uint64_t begin_ns_ = 0;
 };
 

@@ -59,10 +59,12 @@ using detail::PlanImpl;
 namespace {
 
 /// Working-set limit actually used: explicit limit capped at the circuit
-/// width, else the LLC-sized default (2^21 amplitudes = 32 MiB).
+/// width, else the default of 20 (a 16 MiB inner buffer per worker). A
+/// constant, so the partition and the result bits never depend on the
+/// thread count.
 unsigned effective_limit(const Options& opt, unsigned num_qubits) {
   if (opt.limit != 0) return std::min(opt.limit, num_qubits);
-  return std::min(21u, num_qubits);
+  return std::min(20u, num_qubits);
 }
 
 dist::CommBackend* backend_for_target(Target t) {

@@ -75,8 +75,12 @@ struct Options {
   Target target = Target::Hierarchical;
   partition::Strategy strategy = partition::Strategy::DagP;
   /// Working-set limit Lm. 0 = auto: local qubit count when distributed,
-  /// otherwise the LLC-sized qubit count (21 qubits ~ 32 MiB) capped at
-  /// the circuit width.
+  /// otherwise 20 qubits capped at the circuit width. The hierarchical
+  /// executors give every worker thread its own inner buffer, so a run
+  /// holds up to P x 2^limit x 16 B besides the state (P =
+  /// parallel::num_threads(); 64 MiB at P = 4 and limit 20). The default
+  /// is a constant, not derived from P, so the partition and the result
+  /// bits do not depend on the thread count.
   unsigned limit = 0;
   /// Second-level (cache) limit for Multilevel and the distributed
   /// targets' inner level. 0 = auto for Target::Multilevel (half the

@@ -5,6 +5,7 @@
 
 #include "common/bits.hpp"
 #include "common/check.hpp"
+#include "common/parallel.hpp"
 #include "common/timer.hpp"
 #include "common/trace.hpp"
 #include "sv/kernels.hpp"
@@ -89,24 +90,99 @@ PreparedPart prepare(std::span<const Gate> gates, const partition::Part& p,
   return out;
 }
 
-/// Phase timers of the outermost level.
+/// Phase timers of the outermost level, one per worker slot.
 struct PhaseClock {
   Stopwatch gather, execute, scatter;
+  bool ran = false;
 };
 
-/// The gather-execute-scatter loop: runs `p` against `outer` through the
-/// inner vector `buffers.front()`; deeper levels use the buffers after it.
-void run_part(const PreparedPart& p, StateVector& outer,
-              std::span<StateVector> buffers, const KernelOps& ops,
-              PhaseClock* clock) {
-  StateVector& inner = buffers.front();
-  inner.resize(p.width);
-  const Index kdim = inner.size();
+/// What one worker slot owns: an inner buffer per level and its phase
+/// clock.
+struct Worker {
+  std::vector<StateVector> buffers;
+  PhaseClock clock;
+};
+
+/// The worker slots of one call. A level whose iteration count is at
+/// least slots.size() splits its iterations into at most that many
+/// contiguous blocks; block b runs on slot b, which owns every buffer
+/// below it.
+struct Workers {
+  std::vector<Worker> slots;
+  std::vector<unsigned> widest;  // widest part per level
+  const KernelOps& ops;
+};
+
+/// Block size when a level of `iterations` outer iterations forks over
+/// `slots` workers; 0 when it has fewer iterations than slots and so runs
+/// serially.
+Index fork_grain(Index iterations, Index slots) {
+  return iterations < slots ? 0 : (iterations + slots - 1) / slots;
+}
+
+/// Allocates worker `slot`'s buffers from `level` down, each for its
+/// level's widest part, where not yet allocated.
+void allocate(Workers& ws, std::size_t slot, unsigned level) {
+  for (unsigned l = level; l < ws.widest.size(); ++l) {
+    StateVector& b = ws.slots[slot].buffers[l];
+    if (b.size() == 0) b = StateVector(ws.widest[l]);
+  }
+}
+
+/// The gather-execute-scatter loop over outer iterations [lo, hi) of `p`
+/// against `outer`, at nesting `level`, with the buffers of worker
+/// `slot`. Once `forked`, sub-parts run on the same slot; otherwise they
+/// may fork themselves. Only the outermost level is timed.
+void run_block(const PreparedPart& p, StateVector& outer, Index lo, Index hi,
+               unsigned level, std::size_t slot, bool forked, Workers& ws);
+
+/// Runs every outer iteration of `p` against `outer`: forked across the
+/// worker slots when the level has at least one iteration per slot
+/// (block index = slot), else serially on slot 0, where each gate keeps
+/// its own kernel parallelism.
+void run_part(const PreparedPart& p, StateVector& outer, unsigned level,
+              Workers& ws) {
   const Index iterations = outer.size() >> p.width;
+  const Index grain = fork_grain(iterations, ws.slots.size());
+  if (grain == 0) {
+    run_block(p, outer, 0, iterations, level, 0, false, ws);
+    return;
+  }
+  // Here, on the calling thread, so a failed allocation throws to the
+  // caller instead of ending a pool worker.
+  for (Index b = 0; b * grain < iterations; ++b) allocate(ws, b, level);
+  parallel::for_range(
+      0, iterations,
+      [&](Index lo, Index hi) {
+        run_block(p, outer, lo, hi, level, lo / grain, true, ws);
+      },
+      grain);
+}
+
+/// The number of blocks run_part splits `p` (an m-qubit parent's part)
+/// into at the level that forks, or 1 if none does.
+Index fork_blocks(const PreparedPart& p, unsigned m, Index slots) {
+  const Index iterations = dim(m - p.width);
+  if (const Index grain = fork_grain(iterations, slots); grain != 0)
+    return (iterations + grain - 1) / grain;
+  Index blocks = 1;
+  for (const PreparedPart& ip : p.inner)
+    blocks = std::max(blocks, fork_blocks(ip, p.width, slots));
+  return blocks;
+}
+
+void run_block(const PreparedPart& p, StateVector& outer, Index lo, Index hi,
+               unsigned level, std::size_t slot, bool forked, Workers& ws) {
+  Worker& w = ws.slots[slot];
+  StateVector& inner = w.buffers[level];
+  inner.resize(p.width);
+  PhaseClock* clock = level == 0 ? &w.clock : nullptr;
+  if (clock) clock->ran = true;
+  const Index kdim = inner.size();
   const Index* offset = p.offset.data();
   cplx* out_a = outer.data();
   cplx* in_a = inner.data();
-  for (Index m = 0; m < iterations; ++m) {
+  for (Index m = lo; m < hi; ++m) {
     const Index base = bits::deposit(m, p.outside);
     if (clock) clock->gather.start();
     for (Index t = 0; t < kdim; ++t) in_a[t] = out_a[base | offset[t]];
@@ -115,10 +191,15 @@ void run_part(const PreparedPart& p, StateVector& outer,
       clock->execute.start();
     }
     if (p.inner.empty()) {
-      for (const Gate& g : p.gates) apply_gate(inner, g, ops);
+      for (const Gate& g : p.gates) apply_gate(inner, g, ws.ops);
     } else {
-      for (const PreparedPart& ip : p.inner)
-        run_part(ip, inner, buffers.subspan(1), ops, nullptr);
+      for (const PreparedPart& ip : p.inner) {
+        if (forked)
+          run_block(ip, inner, 0, kdim >> ip.width, level + 1, slot, true,
+                    ws);
+        else
+          run_part(ip, inner, level + 1, ws);
+      }
     }
     if (clock) {
       clock->execute.stop();
@@ -158,22 +239,38 @@ std::map<std::string, double> run_hierarchical(
     flops += p.flops;
   }
 
-  // One inner buffer per level, sized for that level's widest part.
-  std::vector<StateVector> buffers;
-  buffers.emplace_back(widest);
-  if (!inner.empty()) buffers.emplace_back(widest_inner);
-  const KernelOps& kops = ops != nullptr ? *ops : kernel_ops();
-  PhaseClock clock;
+  Workers ws{std::vector<Worker>(parallel::num_threads()),
+             {widest}, ops != nullptr ? *ops : kernel_ops()};
+  if (!inner.empty()) ws.widest.push_back(widest_inner);
+  for (Worker& w : ws.slots) w.buffers.resize(ws.widest.size());
+  allocate(ws, 0, 0);  // slot 0 runs every serial level
+  // Per part, each phase adds the mean over the slots that ran it, so the
+  // totals read as wall time even when the part forked.
+  double gather = 0.0, execute = 0.0, scatter = 0.0;
   for (const PreparedPart& p : prepared) {
     // Per-part granularity; the iterations inside are far too hot for
     // spans — the PhaseClock totals cover those.
     trace::TraceSpan span("part", "sv");
     span.arg("gates", static_cast<std::int64_t>(p.gates.size()));
-    run_part(p, state, buffers, kops, &clock);
+    span.arg("workers", static_cast<std::int64_t>(
+                            fork_blocks(p, n, ws.slots.size())));
+    run_part(p, state, 0, ws);
+    double ran = 0.0, g = 0.0, e = 0.0, s = 0.0;
+    for (Worker& w : ws.slots) {
+      if (!w.clock.ran) continue;
+      ran += 1.0;
+      g += w.clock.gather.seconds();
+      e += w.clock.execute.seconds();
+      s += w.clock.scatter.seconds();
+      w.clock = PhaseClock{};
+    }
+    gather += g / ran;
+    execute += e / ran;
+    scatter += s / ran;
   }
-  return {{"gather.seconds", clock.gather.seconds()},
-          {"apply.seconds", clock.execute.seconds()},
-          {"scatter.seconds", clock.scatter.seconds()},
+  return {{"gather.seconds", gather},
+          {"apply.seconds", execute},
+          {"scatter.seconds", scatter},
           {"sv.outer_bytes_moved", static_cast<double>(outer_bytes)},
           {"sv.inner_bytes_touched", static_cast<double>(inner_bytes)},
           {"sv.flops", flops}};

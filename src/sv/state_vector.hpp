@@ -12,10 +12,8 @@ namespace hisim::sv {
 class StateVector {
  public:
   StateVector() = default;
-  explicit StateVector(unsigned num_qubits) : num_qubits_(num_qubits) {
-    // Validate before allocating (2^35 amplitudes = 512 GiB).
-    HISIM_CHECK_MSG(num_qubits <= 34, "state vector would exceed 256 GiB");
-    amps_.assign(dim(num_qubits), cplx{});
+  explicit StateVector(unsigned num_qubits) {
+    resize(num_qubits);  // zero-fills the fresh allocation
     amps_[0] = 1.0;
   }
 
@@ -23,6 +21,8 @@ class StateVector {
   /// unspecified and the allocation is kept, so shrinking and regrowing up
   /// to the largest size used never reallocates.
   void resize(unsigned num_qubits) {
+    // Validate before allocating (2^35 amplitudes = 512 GiB).
+    HISIM_CHECK_MSG(num_qubits <= 34, "state vector would exceed 256 GiB");
     num_qubits_ = num_qubits;
     amps_.resize(dim(num_qubits));
   }

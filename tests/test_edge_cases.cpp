@@ -221,6 +221,14 @@ TEST(EdgeCase, StateVectorTooLargeRejected) {
   EXPECT_THROW(sv::StateVector(40), Error);
 }
 
+// resize() checks the same bound before touching the allocation.
+TEST(EdgeCase, StateVectorResizeTooLargeRejected) {
+  sv::StateVector s(3);
+  EXPECT_THROW(s.resize(40), Error);
+  EXPECT_EQ(s.num_qubits(), 3u);
+  EXPECT_EQ(s.size(), Index{8});
+}
+
 TEST(EdgeCase, QasmEmptyProgram) {
   const Circuit c = qasm::parse("OPENQASM 2.0;\nqreg q[3];\n");
   EXPECT_EQ(c.num_qubits(), 3u);

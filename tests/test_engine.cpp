@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "circuits/generators.hpp"
+#include "common/parallel.hpp"
 #include "dag/circuit_dag.hpp"
 #include "dist/hisvsim_dist.hpp"
 #include "dist/iqs_baseline.hpp"
@@ -334,6 +335,27 @@ TEST(Engine, MultilevelAutoLevel2) {
   EXPECT_LT(plan.execute().state.max_abs_diff(
                 sv::FlatSimulator().simulate(c)),
             1e-10);
+}
+
+// A hierarchical run whose outer iterations fork across workers reports
+// each phase as the mean over the workers that ran it, so the phases still
+// add up to no more than the wall time of the execute.
+TEST(Engine, ForkedPhaseTimesFitInWallTime) {
+  parallel::set_num_threads(4);
+  // Large enough that the pool's workers take blocks while the caller
+  // still runs its own; a sum over workers would then exceed wall time.
+  const Circuit c = circuits::qft(20);
+  Options o;
+  o.target = Target::Hierarchical;
+  o.limit = 14;  // every part has >= 64 outer iterations: all fork
+  const Result r = Engine::compile(c, o).execute();
+  parallel::set_num_threads(0);
+  const double phases = r.metric("gather.seconds") +
+                        r.metric("apply.seconds") +
+                        r.metric("scatter.seconds");
+  EXPECT_GT(phases, 0.0);
+  EXPECT_LE(phases, r.metric("execute.wall_seconds") * 1.05);
+  EXPECT_LT(r.state.max_abs_diff(sv::FlatSimulator().simulate(c)), 1e-10);
 }
 
 }  // namespace

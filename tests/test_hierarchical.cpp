@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "circuits/generators.hpp"
 #include "common/error.hpp"
+#include "common/parallel.hpp"
+#include "partition/multilevel.hpp"
 #include "sv/kernels.hpp"
 #include "sv/simulator.hpp"
 
@@ -150,6 +154,60 @@ TEST(Hierarchical, RejectsInnerPartOutsideItsParent) {
   EXPECT_THROW(run_hierarchical(c, outer, s, inner), Error);
   const partition::Partitioning wrong_count[] = {inner[0], inner[0]};
   EXPECT_THROW(run_hierarchical(c, outer, s, wrong_count), Error);
+}
+
+// The outer loop forks across worker slots, but each slot owns whole outer
+// iterations and runs them in a fixed order: the state is bit-identical
+// under any thread count, including 3 (uneven blocks).
+TEST(Hierarchical, BitIdenticalAcrossThreadCounts) {
+  struct Run {
+    std::string name;
+    unsigned l1, l2;  // l2 = 0: one level
+    partition::Strategy strategy;
+  };
+  // n = 16. At l1 = 12 every part forks at level 1. Nat parts at l1 = 15
+  // are mostly 15 wide: 2 outer iterations, so 3 and 4 threads run them
+  // serially with per-gate kernel parallelism. At l1 = 16 level 1 has one
+  // iteration, so the two-level runs fork at level 2.
+  using partition::Strategy;
+  const Run runs[] = {{"qft", 12, 0, Strategy::DagP},
+                      {"ising", 12, 0, Strategy::DagP},
+                      {"qft", 15, 0, Strategy::Nat},
+                      {"qft", 16, 12, Strategy::DagP},
+                      {"ising", 16, 12, Strategy::DagP}};
+  for (const Run& run : runs) {
+    const Circuit c = circuits::make_by_name(run.name, 16);
+    const dag::CircuitDag d(c);
+    partition::PartitionOptions opt;
+    opt.limit = run.l1;
+    opt.strategy = run.strategy;
+    partition::TwoLevelPartitioning two;  // level2 empty: one level
+    if (run.l2 != 0)
+      two = partition::partition_two_level(d, opt, run.l2);
+    else
+      two.level1 = partition::make_partition(d, opt);
+    // The serial level-1 paths need the widest parts to reach the limit.
+    if (run.l1 >= 15) {
+      EXPECT_EQ(two.level1.max_working_set(), run.l1);
+    }
+    std::vector<StateVector> states;
+    for (unsigned threads : {1u, 2u, 3u, 4u}) {
+      parallel::set_num_threads(threads);
+      StateVector s(c.num_qubits());
+      run_hierarchical(c, two.level1, s, two.level2);
+      states.push_back(std::move(s));
+    }
+    parallel::set_num_threads(0);
+    const std::string what = run.name + " L" + std::to_string(run.l1) + "/" +
+                             std::to_string(run.l2);
+    EXPECT_LT(states[0].max_abs_diff(FlatSimulator().simulate(c)), 1e-10)
+        << what;
+    for (std::size_t i = 1; i < states.size(); ++i)
+      EXPECT_EQ(std::memcmp(states[0].data(), states[i].data(),
+                            states[0].bytes()),
+                0)
+          << what << " at " << i + 1 << " threads";
+  }
 }
 
 }  // namespace

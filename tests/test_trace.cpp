@@ -117,6 +117,22 @@ TEST(Trace, NestedSpansCompleteInnerFirst) {
   EXPECT_NE(json.find("\"args\": {\"idx\": 3}"), std::string::npos);
 }
 
+TEST(Trace, SpanCarriesTwoArgs) {
+  SessionGuard guard;
+  TraceSession::start();
+  {
+    TraceSpan span("part", "test");
+    span.arg("gates", 7);
+    span.arg("workers", 4);
+    span.arg("dropped", 1);  // past TraceSpan::kMaxArgs
+  }
+  TraceSession::stop();
+  const std::string json = TraceSession::chrome_json();
+  EXPECT_NE(json.find("\"args\": {\"gates\": 7, \"workers\": 4}"),
+            std::string::npos)
+      << json;
+}
+
 TEST(Trace, CounterSampleEmitsCounterEvent) {
   SessionGuard guard;
   TraceSession::start();
