@@ -149,8 +149,8 @@ void SerialBackend::run_groups(std::size_t count,
 
 std::unique_ptr<ExchangeHandle> ThreadedBackend::start_exchange(
     const ExchangePlan& plan) {
-  const unsigned cap = max_workers_ ? max_workers_ : parallel::num_threads();
-  const unsigned workers = std::max(1u, std::min(plan.physical, cap));
+  const unsigned workers =
+      std::max(1u, std::min(plan.physical, parallel::num_threads()));
   return std::make_unique<ThreadedHandle>(plan, workers);
 }
 

@@ -97,19 +97,11 @@ class SerialBackend final : public CommBackend {
 /// pool, which stays available to the concurrently running compute.
 class ThreadedBackend final : public CommBackend {
  public:
-  /// max_workers = 0 — one worker per physical host, capped at
-  /// parallel::num_threads().
-  explicit ThreadedBackend(unsigned max_workers = 0)
-      : max_workers_(max_workers) {}
-
   const char* name() const override { return "threaded"; }
   std::unique_ptr<ExchangeHandle> start_exchange(
       const ExchangePlan& plan) override;
   void run_groups(std::size_t count,
                   const std::function<void(std::size_t)>& task) override;
-
- private:
-  unsigned max_workers_ = 0;
 };
 
 /// Backend selection surfaced through CLI/bench flags.

@@ -34,6 +34,17 @@ double pipelined_total_seconds(
 
 }  // namespace
 
+Circuit step_circuit(const Circuit& c, const DistPlan::Step& s, unsigned l) {
+  Circuit out(l);
+  for (const std::string& pn : c.param_names()) out.param(pn);
+  for (std::size_t gi : s.gates) {
+    Gate g = c.gate(gi);
+    for (Qubit& q : g.qubits) q = static_cast<Qubit>(s.layout.slot_of(q));
+    out.add(std::move(g));
+  }
+  return out;
+}
+
 DistPlan compile_plan(const Circuit& c, const DistOptions& opt,
                       const RankLayout* initial) {
   Timer compile_timer;
@@ -75,33 +86,23 @@ DistPlan compile_plan(const Circuit& c, const DistOptions& opt,
   plan.partition_seconds = parts.partition_seconds;
 
   // Walk the layout chain once: each part's target layout depends only on
-  // the previous part's, so the whole exchange schedule — and the gate
-  // remapping it implies — is known before any amplitude exists.
+  // the previous part's, so the whole exchange schedule is known before
+  // any amplitude exists.
   trace::TraceSpan schedule_span("schedule.build", "dist");
   const RankLayout* prev = &plan.initial_layout;
   for (const partition::Part& part : parts.parts) {
     DistPlan::Step step;
     step.layout = RankLayout::for_part(n, p, part.qubits, *prev);
-
-    Circuit local(l);
-    for (const std::string& pn : plan.circuit.param_names()) local.param(pn);
-    for (std::size_t gi : part.gates) {
-      Gate g = plan.circuit.gate(gi);
-      for (Qubit& q : g.qubits)
-        q = static_cast<Qubit>(step.layout.slot_of(q));
-      step.parametric = step.parametric || g.is_parametric();
-      if (g.kind == GateKind::NoiseSlot)
-        step.noise_slots.emplace_back(local.num_gates(), g.noise_slot_id());
-      local.add(std::move(g));
-    }
-    step.local = std::move(local);
+    step.gates = part.gates;
 
     if (opt.level2_limit > 0) {
       // Second level: partition the part's slot-local sub-circuit with the
-      // cache-sized limit. Booked as partition time, not compute.
+      // cache-sized limit. Booked as partition time, not compute. The DAG
+      // points into `local`, so `local` must outlive it.
       partition::PartitionOptions po2 = po;
       po2.limit = std::min(opt.level2_limit, l);
-      const dag::CircuitDag sdag(step.local);
+      const Circuit local = step_circuit(plan.circuit, step, l);
+      const dag::CircuitDag sdag(local);
       step.inner = partition::make_partition(sdag, po2);
       plan.inner_parts += step.inner.num_parts();
       plan.partition_seconds += step.inner.partition_seconds;
@@ -115,9 +116,9 @@ DistPlan compile_plan(const Circuit& c, const DistOptions& opt,
 }
 
 std::map<std::string, double> execute_plan(
-    const DistPlan& plan, DistState& state, const NetworkModel& net,
-    CommBackend* backend_ptr, std::span<const double> param_values,
-    std::span<const Gate> noise_ops, const sv::KernelOps* kernels) {
+    const DistPlan& plan, const Circuit& c, DistState& state,
+    const NetworkModel& net, CommBackend* backend_ptr,
+    const sv::KernelOps* kernels) {
   const sv::KernelOps& kops =
       kernels != nullptr ? *kernels : sv::kernel_ops();
   const unsigned n = plan.num_qubits;
@@ -126,6 +127,13 @@ std::map<std::string, double> execute_plan(
                   "state shape does not match plan");
   HISIM_CHECK_MSG(state.layout() == plan.initial_layout,
                   "state layout does not match the plan's initial layout");
+  HISIM_CHECK_MSG(c.num_qubits() == n &&
+                      c.num_gates() == plan.circuit.num_gates(),
+                  "executed circuit (" << c.num_qubits() << " qubits, "
+                                       << c.num_gates()
+                                       << " gates) does not match the plan ("
+                                       << n << " qubits, "
+                                       << plan.circuit.num_gates() << " gates)");
   const unsigned v = state.num_ranks();
   CommBackend& backend = backend_ptr ? *backend_ptr : serial_backend();
 
@@ -160,39 +168,15 @@ std::map<std::string, double> execute_plan(
     // backend — its movement already happened).
     const double comm_begin = wall.seconds();
 
-    // Materialize a parametric or noisy step while the exchange is
-    // (possibly) still in flight: only the angle values and the
-    // trajectory's sampled slot operators are substituted — the layout,
-    // slot remapping, and inner partitioning above are the plan's
-    // precomputed structure. Gate count and order are preserved, so
-    // step.inner's gate indices stay valid.
-    Circuit bound_storage;
-    const Circuit* local_circuit = &step.local;
-    if (step.parametric || (!noise_ops.empty() && !step.noise_slots.empty())) {
-      trace::TraceSpan bind_span("bind", "dist");
-      if (step.parametric) {
-        bound_storage = step.local.bound(param_values);
-        local_circuit = &bound_storage;
-      }
-      if (!noise_ops.empty() && !step.noise_slots.empty()) {
-        if (local_circuit != &bound_storage) bound_storage = step.local;
-        for (const auto& [gi, slot] : step.noise_slots) {
-          HISIM_CHECK_MSG(slot < noise_ops.size(),
-                          "noise slot " << slot << " has no sampled operator");
-          Gate op = noise_ops[slot];
-          op.qubits = bound_storage.gate(gi).qubits;
-          bound_storage.set_gate(gi, std::move(op));
-        }
-        local_circuit = &bound_storage;
-      }
-    }
-    const Circuit& local = *local_circuit;
+    // Place the step's gates on local slots while the exchange is
+    // (possibly) still in flight. Gate count and order follow step.gates,
+    // so step.inner's gate indices stay valid.
+    const Circuit local = step_circuit(c, step, n - p);
 
-    // (2) Local apply: the plan already holds the part's gates remapped to
-    // local slots, so each gate is block-diagonal over ranks and applies
-    // shard-locally. Ranks are independent, so the apply loop fans out
-    // over parallel::for_range (one rank per chunk); shard contents are
-    // identical to a serial sweep.
+    // (2) Local apply: every step gate sits on a local slot, so it is
+    // block-diagonal over ranks and applies shard-locally. Ranks are
+    // independent, so the apply loop fans out over parallel::for_range (one
+    // rank per chunk); shard contents are identical to a serial sweep.
     Mutex comp_mu;
     // Compute window on the part clock: first rank starting to apply
     // (after its shard arrived) → last rank finished.

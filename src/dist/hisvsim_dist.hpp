@@ -1,9 +1,7 @@
 #pragma once
 
 #include <map>
-#include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "circuit/circuit.hpp"
@@ -29,11 +27,12 @@ struct DistOptions {
 
 /// Compiled form of one distributed run: everything that does not depend
 /// on amplitude values — the (possibly lowered) circuit, the partitioning,
-/// the per-part target layouts (the exchange schedule), the part gates
-/// remapped onto local slots, and the optional cache-sized second-level
-/// partitioning — computed once and reusable across any number of
-/// executions. Immutable after compile_plan(); safe to share between
-/// threads executing concurrently on separate DistStates.
+/// the per-part target layouts (the exchange schedule) and the optional
+/// cache-sized second-level partitioning — computed once and reusable
+/// across any number of executions. Steps hold indices into `circuit`, so
+/// the gates exist once; step_circuit() places a step's gates on local
+/// slots. Immutable after compile_plan(); safe to share between threads
+/// executing concurrently on separate DistStates.
 struct DistPlan {
   unsigned num_qubits = 0;
   unsigned process_qubits = 0;   // p: 2^p virtual ranks
@@ -47,22 +46,11 @@ struct DistPlan {
   /// One entry per first-level part, in execution order.
   struct Step {
     RankLayout layout;   // post-exchange layout (== previous when no move)
-    /// The part's gates with qubits remapped to local slots under
-    /// `layout` — ready for a direct shard-local apply. May still carry
-    /// symbolic parameters; execute_plan materializes them per binding.
-    Circuit local;
-    /// Second-level partitioning of `local` (empty when level2_limit == 0).
-    /// Gate indices stay valid across binding: materialization preserves
-    /// gate count and order.
+    /// The part's gates: indices into DistPlan::circuit, ascending.
+    std::vector<std::size_t> gates;
+    /// Second-level partitioning of the step circuit (empty when
+    /// level2_limit == 0). Its gate indices are positions in `gates`.
     partition::Partitioning inner;
-    /// Precomputed: any gate of `local` carries a symbolic parameter, so
-    /// executing this step requires per-binding materialization.
-    bool parametric = false;
-    /// Reserved noise slots of `local`: (gate index, slot id) pairs, found
-    /// once at compile. Sampled trajectory operators are single-qubit and
-    /// substitute onto the slot gate's already-local position, so noisy
-    /// execution reuses the exchange schedule untouched.
-    std::vector<std::pair<std::size_t, unsigned>> noise_slots;
   };
   std::vector<Step> steps;
 
@@ -74,13 +62,18 @@ struct DistPlan {
 /// permutation whose slot_of/qubit_at maps invert each other, every
 /// amplitude conserved across each consecutive layout pair (each (rank,
 /// offset) destination hit exactly once — no shard byte lost or
-/// duplicated), every step gate acting only on local slots, the steps'
-/// slot-remapped gates unmapping (via each step's layout) to exactly the
-/// plan circuit's gate multiset, reserved noise slots consistent between
-/// circuit and steps, and inner partitionings valid for their step
-/// sub-circuits. Checked builds run this from ExecutionPlan::validate();
-/// tests corrupt a copied plan's schedule and assert the abort.
+/// duplicated), the step gate indices covering every plan gate exactly
+/// once (ascending within a step), every step gate's qubits local under
+/// its step's layout, and inner partitionings valid for their step
+/// circuits. Checked builds run this from ExecutionPlan::validate(); tests
+/// corrupt a copied plan's schedule and assert the abort.
 void validate_plan(const DistPlan& plan);
+
+/// The gates `s.gates` of `c` in order, with each qubit placed on its
+/// slot under `s.layout`: an `l`-qubit circuit (l = local qubits) that
+/// applies shard-locally. Keeps `c`'s parameter registry, so a symbolic
+/// `c` yields a symbolic step circuit.
+Circuit step_circuit(const Circuit& c, const DistPlan::Step& s, unsigned l);
 
 /// Builds the execution plan for `c` under `opt`. `initial` is the layout
 /// the target state will carry when execution starts; nullptr = identity.
@@ -107,22 +100,12 @@ DistPlan compile_plan(const Circuit& c, const DistOptions& opt,
 /// soon as its shard has arrived, while later shards are still moving —
 /// the comm/compute overlap of Sec. V-C, measured rather than modeled.
 ///
-/// `param_values` is the binding context for a parameterized plan (values
-/// indexed by the source circuit's param ids, as produced by
-/// resolve_binding): each parametric step's local sub-circuit is
-/// materialized against it just before the shard-local apply — the
-/// exchange schedule, layouts, and inner partitions are reused as-is.
-/// Executing a parametric step with no covering value throws hisim::Error
-/// naming the parameter.
-///
-/// `noise_ops` is one trajectory's sampled operator per noise slot
-/// (indexed by slot id, each on canonical qubit 0; see
-/// noise/trajectory.hpp). Steps with reserved slots substitute their
-/// operators during the same per-step materialization — like bindings,
-/// this overlaps the exchange, and since every sampled operator is
-/// single-qubit on a slot the plan already made local, the exchange
-/// schedule is byte-identical to the ideal run. Empty = ideal execution
-/// (slots apply as identities).
+/// `c` is the executed form of plan.circuit: the same gates with symbolic
+/// angles bound and noise slots holding one trajectory's sampled operators
+/// (or plan.circuit itself when there is nothing to materialize). Its
+/// qubit and gate counts must match the plan's. Each step places its
+/// gates of `c` on local slots while its exchange is in flight; the
+/// layouts and inner partitions are reused as-is.
 ///
 /// `kernels` selects the apply-kernel tier for every shard-local gate
 /// (nullptr = the Auto-resolved default; see sv/kernel_dispatch.hpp).
@@ -137,9 +120,8 @@ DistPlan compile_plan(const Circuit& c, const DistOptions& opt,
 /// plan has steps, "model.pipelined_seconds", the Sec. V-C pipelined
 /// estimate over the per-step (modeled comm, measured compute) pairs.
 std::map<std::string, double> execute_plan(
-    const DistPlan& plan, DistState& state, const NetworkModel& net,
-    CommBackend* backend = nullptr, std::span<const double> param_values = {},
-    std::span<const Gate> noise_ops = {},
+    const DistPlan& plan, const Circuit& c, DistState& state,
+    const NetworkModel& net, CommBackend* backend = nullptr,
     const sv::KernelOps* kernels = nullptr);
 
 }  // namespace hisim::dist

@@ -1,7 +1,3 @@
-#include <algorithm>
-#include <map>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -73,74 +69,34 @@ void check_exchange_conserves(const RankLayout& from, const RankLayout& to,
   // duplicates is a bijection, so nothing was lost either.
 }
 
-/// Canonical sort key for multiset comparison. to_string() covers kind,
-/// qubits, and parameter expressions; Unitary gates (same printable form,
-/// possibly different matrices) are disambiguated within equal-key groups
-/// by Gate::operator== below.
-std::string gate_key(const Gate& g) { return g.to_string(); }
-
-/// The steps' slot-remapped gates, unmapped through their layouts, must be
-/// exactly the plan circuit's gates as a multiset — the schedule may
-/// reorder gates only across parts (which the acyclic partitioning
-/// guarantees is dependency-safe), never invent, drop, or rewrite one.
+/// The steps' gate indices must cover every plan gate exactly once,
+/// ascending within a step — the schedule may reorder gates only across
+/// parts (which the acyclic partitioning guarantees is dependency-safe),
+/// never drop or duplicate one.
 void check_gate_cover(const DistPlan& plan) {
+  const std::size_t total = plan.circuit.num_gates();
   std::size_t step_gates = 0;
-  for (const DistPlan::Step& s : plan.steps) step_gates += s.local.num_gates();
-  HISIM_INVARIANT(step_gates == plan.circuit.num_gates(),
-                  "steps carry " << step_gates << " gates, plan circuit has "
-                                 << plan.circuit.num_gates());
-
-  std::map<std::string, std::vector<const Gate*>> expect;
-  for (const Gate& g : plan.circuit.gates())
-    expect[gate_key(g)].push_back(&g);
-
+  for (const DistPlan::Step& s : plan.steps) step_gates += s.gates.size();
+  HISIM_INVARIANT(step_gates == total, "steps carry "
+                                           << step_gates
+                                           << " gates, plan circuit has "
+                                           << total);
+  std::vector<bool> seen(total, false);
   for (std::size_t si = 0; si < plan.steps.size(); ++si) {
-    const DistPlan::Step& s = plan.steps[si];
-    for (const Gate& lg : s.local.gates()) {
-      Gate g = lg;  // unmap slots back to original qubits
-      for (Qubit& q : g.qubits) q = s.layout.qubit_at(q);
-      auto it = expect.find(gate_key(g));
-      HISIM_INVARIANT(it != expect.end() && !it->second.empty(),
-                      "step " << si << " carries gate '" << g.to_string()
-                              << "' the plan circuit does not (or not this "
-                              << "many times)");
-      auto& cands = it->second;
-      const auto match =
-          std::find_if(cands.begin(), cands.end(),
-                       [&](const Gate* cand) { return *cand == g; });
-      HISIM_INVARIANT(match != cands.end(),
-                      "step " << si << " gate '" << g.to_string()
-                              << "' differs from every remaining plan gate "
-                              << "with that signature");
-      cands.erase(match);
+    const std::vector<std::size_t>& gates = plan.steps[si].gates;
+    for (std::size_t j = 0; j < gates.size(); ++j) {
+      const std::size_t gi = gates[j];
+      HISIM_INVARIANT(gi < total, "step " << si << " carries gate index "
+                                          << gi << " of " << total);
+      HISIM_INVARIANT(j == 0 || gates[j - 1] < gi,
+                      "step " << si << " gate indices not ascending at "
+                              << "position " << j);
+      HISIM_INVARIANT(!seen[gi], "plan gate " << gi
+                                              << " carried by two steps");
+      seen[gi] = true;
     }
   }
-  // Equal totals + every step gate matched => nothing left unclaimed.
-}
-
-void check_step_noise_slots(const DistPlan::Step& s, std::size_t si) {
-  std::vector<bool> used(s.local.num_gates(), false);
-  for (const auto& [gi, slot] : s.noise_slots) {
-    HISIM_INVARIANT(gi < s.local.num_gates(),
-                    "step " << si << " noise slot " << slot
-                            << " points at gate " << gi << " of "
-                            << s.local.num_gates());
-    const Gate& g = s.local.gate(gi);
-    HISIM_INVARIANT(g.kind == GateKind::NoiseSlot && g.noise_slot_id() == slot,
-                    "step " << si << " noise-slot table entry (gate " << gi
-                            << ", slot " << slot
-                            << ") does not match the gate there");
-    HISIM_INVARIANT(!used[gi], "step " << si << " noise-slot table points at "
-                                       << "gate " << gi << " twice");
-    used[gi] = true;
-  }
-  std::size_t slot_gates = 0;
-  for (const Gate& g : s.local.gates())
-    if (g.kind == GateKind::NoiseSlot) ++slot_gates;
-  HISIM_INVARIANT(slot_gates == s.noise_slots.size(),
-                  "step " << si << " has " << slot_gates
-                          << " NoiseSlot gates but " << s.noise_slots.size()
-                          << " table entries");
+  // Equal totals + no index twice => every plan gate carried exactly once.
 }
 
 }  // namespace
@@ -158,6 +114,8 @@ void validate_plan(const DistPlan& plan) {
   const unsigned l = n - p;
   check_layout_shape(plan.initial_layout, n, p, "initial layout", 0);
 
+  check_gate_cover(plan);
+
   const RankLayout* prev = &plan.initial_layout;
   for (std::size_t si = 0; si < plan.steps.size(); ++si) {
     const DistPlan::Step& s = plan.steps[si];
@@ -165,20 +123,23 @@ void validate_plan(const DistPlan& plan) {
     check_exchange_conserves(*prev, s.layout, si);
     prev = &s.layout;
 
-    HISIM_INVARIANT(s.local.num_qubits() == l,
-                    "step " << si << " local circuit spans "
-                            << s.local.num_qubits() << " qubits, shard has "
-                            << l);
-    // Circuit::add already rejects out-of-range qubits, so gates are local
-    // by construction; re-assert so a corrupted plan cannot rely on that.
-    for (const Gate& g : s.local.gates())
+    // Locality: after the step's exchange every qubit its gates touch must
+    // sit on a shard-local slot, or the gate is not block-diagonal over
+    // ranks.
+    for (std::size_t gi : s.gates) {
+      const Gate& g = plan.circuit.gate(gi);
       for (Qubit q : g.qubits)
-        HISIM_INVARIANT(q < l, "step " << si << " gate '" << g.to_string()
-                                       << "' touches non-local slot " << q);
-    check_step_noise_slots(s, si);
+        HISIM_INVARIANT(s.layout.slot_of(q) < l,
+                        "step " << si << " gate " << gi << " '"
+                                << g.to_string() << "' touches qubit " << q
+                                << " on non-local slot "
+                                << s.layout.slot_of(q));
+    }
 
     if (!s.inner.parts.empty()) {
-      const dag::CircuitDag sdag(s.local);
+      // The DAG points into `local`, so `local` must outlive it.
+      const Circuit local = step_circuit(plan.circuit, s, l);
+      const dag::CircuitDag sdag(local);
       try {
         partition::validate(sdag, s.inner);
       } catch (const Error& e) {
@@ -187,8 +148,6 @@ void validate_plan(const DistPlan& plan) {
       }
     }
   }
-
-  check_gate_cover(plan);
 }
 
 }  // namespace hisim::dist

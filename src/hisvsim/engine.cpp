@@ -380,41 +380,31 @@ ExecutionPlan Engine::compile(const Circuit& c) const {
       impl->parts = 1;  // the whole circuit, unpartitioned
       break;
 
-    case Target::Hierarchical: {
-      impl->effective_limit = effective_limit(opt_, n);
-      const dag::CircuitDag dag = [&] {
-        trace::TraceSpan span("dag.build", "engine");
-        return dag::CircuitDag(*source);
-      }();
-      partition::PartitionOptions po;
-      po.strategy = opt_.strategy;
-      po.limit = impl->effective_limit;
-      po.seed = opt_.seed;
-      impl->single = partition::make_partition(dag, po);
-      impl->parts = impl->single.num_parts();
-      impl->partition_seconds = impl->single.partition_seconds;
-      break;
-    }
-
+    case Target::Hierarchical:
     case Target::Multilevel: {
-      impl->effective_limit = effective_limit(opt_, n);
-      impl->effective_level2 =
-          opt_.level2_limit == 0
-              ? std::max(2u, impl->effective_limit / 2)
-              : std::min(opt_.level2_limit, impl->effective_limit);
+      const unsigned limit = effective_limit(opt_, n);
       const dag::CircuitDag dag = [&] {
         trace::TraceSpan span("dag.build", "engine");
         return dag::CircuitDag(*source);
       }();
       partition::PartitionOptions po;
       po.strategy = opt_.strategy;
-      po.limit = impl->effective_limit;
+      po.limit = limit;
       po.seed = opt_.seed;
-      impl->two = partition::partition_two_level(dag, po,
-                                                 impl->effective_level2);
-      impl->parts = impl->two.level1.num_parts();
-      impl->inner_parts = impl->two.total_inner_parts();
-      impl->partition_seconds = impl->two.level1.partition_seconds;
+      if (opt_.target == Target::Multilevel) {
+        // Automatic level 2: half the first level, at least 2 — but never
+        // above the first level (a 1-qubit circuit has limit 1).
+        const unsigned level2 = std::min(
+            opt_.level2_limit == 0 ? std::max(2u, limit / 2)
+                                   : opt_.level2_limit,
+            limit);
+        impl->partitioning = partition::partition_two_level(dag, po, level2);
+      } else {
+        impl->partitioning.level1 = partition::make_partition(dag, po);
+      }
+      impl->parts = impl->partitioning.level1.num_parts();
+      impl->inner_parts = impl->partitioning.total_inner_parts();
+      impl->partition_seconds = impl->partitioning.level1.partition_seconds;
       break;
     }
 
@@ -517,32 +507,20 @@ Result ExecutionPlan::execute_impl(const ExecOptions& opts,
   if (!plan.param_names.empty() || !opts.bindings.empty())
     param_values = resolve_binding(plan.param_names, opts.bindings);
 
-  // Materialize the executed circuit for the targets that apply it whole:
-  // bind symbolic angles, then substitute the trajectory's sampled
-  // operators into the reserved noise slots. The distributed-serial/
-  // -threaded targets instead materialize per step inside
-  // dist::execute_plan, overlapping with the exchange. This is the only
-  // per-binding/per-trajectory cost: the plan structure (partitioning,
-  // layouts, exchange schedule) is shared untouched.
-  const bool whole_target =
-      opt.target == Target::Flat || opt.target == Target::Hierarchical ||
-      opt.target == Target::Multilevel || opt.target == Target::IqsBaseline;
-  const bool bind_whole = !plan.param_names.empty() && whole_target;
-  const bool noise_whole =
-      whole_target && !noise_ops.empty() && !plan.noise.slots.empty();
+  // Materialize the executed circuit: bind symbolic angles, then
+  // substitute the trajectory's sampled operators into the reserved noise
+  // slots. This is the only per-binding/per-trajectory cost: the plan
+  // structure (partitioning, layouts, exchange schedule) is shared
+  // untouched. Gate count and order are preserved, so every gate index the
+  // plan holds stays valid.
+  const bool bind = !plan.param_names.empty();
   Circuit storage;
   const Circuit* executed = &plan.executed_circuit();
-  if (bind_whole || noise_whole) {
+  if (bind || !noise_ops.empty()) {
     trace::TraceSpan bind_span("bind", "engine");
-    if (bind_whole) {
-      storage = executed->bound(param_values);
-      executed = &storage;
-    }
-    if (noise_whole) {
-      if (!bind_whole) storage = *executed;
-      noise::apply_ops(storage, noise_ops);
-      executed = &storage;
-    }
+    storage = bind ? executed->bound(param_values) : *executed;
+    noise::apply_ops(storage, noise_ops);
+    executed = &storage;
   }
   const Circuit& c = *executed;
 
@@ -583,12 +561,10 @@ Result ExecutionPlan::execute_impl(const ExecOptions& opts,
         break;
       }
       case Target::Hierarchical:
-        r.metrics.merge(
-            sv::run_hierarchical(c, plan.single, state, {}, plan.kernels));
-        break;
       case Target::Multilevel:
-        r.metrics.merge(sv::run_hierarchical(c, plan.two.level1, state,
-                                             plan.two.level2, plan.kernels));
+        r.metrics.merge(sv::run_hierarchical(c, plan.partitioning.level1,
+                                             state, plan.partitioning.level2,
+                                             plan.kernels));
         break;
       default: break;  // unreachable
     }
@@ -600,9 +576,9 @@ Result ExecutionPlan::execute_impl(const ExecOptions& opts,
       r.metrics.merge(dist::run_iqs_baseline(c, st, opts.net, nullptr,
                                              plan.kernels));
     } else {
-      r.metrics.merge(dist::execute_plan(
-          plan.dplan, st, opts.net, backend_for_target(opt.target),
-          param_values, noise_ops, plan.kernels));
+      r.metrics.merge(dist::execute_plan(plan.dplan, c, st, opts.net,
+                                         backend_for_target(opt.target),
+                                         plan.kernels));
     }
     r.metrics["execute.wall_seconds"] = wall.seconds();
     // Gathering the sharded state is O(2^n); report-only executions

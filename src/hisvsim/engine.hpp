@@ -84,7 +84,8 @@ struct Options {
   unsigned limit = 0;
   /// Second-level (cache) limit for Multilevel and the distributed
   /// targets' inner level. 0 = auto for Target::Multilevel (half the
-  /// effective limit, at least 2), off for the distributed targets.
+  /// effective limit, at least 2, at most the effective limit), off for
+  /// the distributed targets.
   unsigned level2_limit = 0;
   /// Number of process ("rank") qubits; 2^p simulated ranks. Required
   /// (> 0) for the distributed targets, ignored otherwise.

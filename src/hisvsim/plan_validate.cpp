@@ -67,31 +67,28 @@ void check_target(const PlanImpl& p) {
       HISIM_INVARIANT(p.parts == 1,
                       "flat plan reports " << p.parts << " parts");
       break;
-    case Target::Hierarchical: {
-      const dag::CircuitDag dag(c);
-      check_partitioning(dag, p.single, "hierarchical");
-      HISIM_INVARIANT(p.parts == p.single.num_parts(),
-                      "plan reports " << p.parts << " parts, partitioning has "
-                                      << p.single.num_parts());
-      break;
-    }
+    case Target::Hierarchical:
     case Target::Multilevel: {
+      const partition::TwoLevelPartitioning& tp = p.partitioning;
       const dag::CircuitDag dag(c);
-      check_partitioning(dag, p.two.level1, "multilevel level-1");
-      HISIM_INVARIANT(p.two.level2.size() == p.two.level1.parts.size(),
-                      "level-2 table has " << p.two.level2.size()
+      check_partitioning(dag, tp.level1, "level-1");
+      // Hierarchical carries no level-2 table, Multilevel one per part.
+      const std::size_t want_level2 =
+          p.opt.target == Target::Multilevel ? tp.level1.parts.size() : 0;
+      HISIM_INVARIANT(tp.level2.size() == want_level2,
+                      "level-2 table has " << tp.level2.size()
                                            << " entries for "
-                                           << p.two.level1.parts.size()
-                                           << " level-1 parts");
-      for (std::size_t i = 0; i < p.two.level2.size(); ++i) {
-        const Circuit sub =
-            partition::part_subcircuit(c, p.two.level1.parts[i]);
+                                           << tp.level1.parts.size()
+                                           << " level-1 parts under "
+                                           << target_name(p.opt.target));
+      for (std::size_t i = 0; i < tp.level2.size(); ++i) {
+        const Circuit sub = partition::part_subcircuit(c, tp.level1.parts[i]);
         const dag::CircuitDag sdag(sub);
-        check_partitioning(sdag, p.two.level2[i], "multilevel level-2");
+        check_partitioning(sdag, tp.level2[i], "level-2");
       }
-      HISIM_INVARIANT(p.parts == p.two.level1.num_parts() &&
-                          p.inner_parts == p.two.total_inner_parts(),
-                      "multilevel part counts out of sync with partitioning");
+      HISIM_INVARIANT(p.parts == tp.level1.num_parts() &&
+                          p.inner_parts == tp.total_inner_parts(),
+                      "plan part counts out of sync with partitioning");
       break;
     }
     case Target::DistributedSerial:

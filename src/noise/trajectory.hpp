@@ -67,8 +67,8 @@ std::uint64_t shot_seed(std::uint64_t traj_seed);
 
 /// Samples one concrete operator per slot, in slot-id order, from the
 /// trajectory's noise stream. Each returned Gate acts on canonical qubit
-/// 0; the executor rewrites the qubit to the slot's (possibly remapped)
-/// position. Empty when `cn` has no slots.
+/// 0; apply_ops rewrites the qubit to the slot's position. Empty when
+/// `cn` has no slots.
 std::vector<Gate> sample_ops(const CompiledNoise& cn,
                              std::uint64_t traj_seed);
 

@@ -219,17 +219,6 @@ void apply_gate(StateVector& state, const Gate& gate, const KernelOps& ops) {
   apply_gate_on(state, gate, gate.qubits, ops);
 }
 
-void apply_gate_remapped(StateVector& state, const Gate& gate,
-                         std::span<const Qubit> slot_of,
-                         const KernelOps& ops) {
-  std::vector<Qubit> qs(gate.qubits.size());
-  for (std::size_t i = 0; i < qs.size(); ++i) {
-    HISIM_CHECK(gate.qubits[i] < slot_of.size());
-    qs[i] = slot_of[gate.qubits[i]];
-  }
-  apply_gate_on(state, gate, qs, ops);
-}
-
 double gate_flops(const Gate& gate, unsigned num_qubits) {
   if (gate.kind == GateKind::I || gate.kind == GateKind::NoiseSlot)
     return 0.0;  // applied as exact no-ops by the kernels

@@ -140,9 +140,10 @@ TEST_P(BackendCircuitParity, StatesAndStatsMatchSerial) {
   opt.level2_limit = tc.level2;
   const DistPlan plan = compile_plan(c, opt);
   DistState serial_st(tc.qubits, tc.p), threaded_st(tc.qubits, tc.p);
-  const auto serial_rep = execute_plan(plan, serial_st, {}, &serial_backend());
+  const auto serial_rep =
+      execute_plan(plan, plan.circuit, serial_st, {}, &serial_backend());
   const auto threaded_rep =
-      execute_plan(plan, threaded_st, {}, &threaded_backend());
+      execute_plan(plan, plan.circuit, threaded_st, {}, &threaded_backend());
 
   expect_bit_identical(serial_st, threaded_st);
   expect_same_comm(serial_rep, threaded_rep, tc.name);

@@ -128,21 +128,13 @@ TEST(CheckedDeath, CorruptedStepLayoutAborts) {
   dist::DistPlan plan = small_plan();
   ASSERT_GT(plan.steps.size(), 1u);
   // Replace a step's layout with another step's (both are valid
-  // permutations, so shape and conservation still hold) — unmapping the
-  // step's slot-local gates through the wrong permutation must break the
-  // gate-multiset cover.
+  // permutations, so shape and conservation still hold) — under the wrong
+  // permutation some of the step's gates touch a non-local slot, which
+  // breaks the locality invariant.
   const std::size_t a = 0, b = plan.steps.size() - 1;
   ASSERT_NE(plan.steps[a].layout.slot_of(0), plan.steps[b].layout.slot_of(0));
   plan.steps[a].layout = plan.steps[b].layout;
   EXPECT_DEATH(dist::validate_plan(plan), kAbortPrefix);
-}
-
-TEST(CheckedDeath, CorruptNoiseSlotTableAborts) {
-  dist::DistPlan plan = small_plan();
-  ASSERT_GT(plan.steps[0].local.num_gates(), 0u);
-  // Point the table at gate 0, which is a real gate, not a NoiseSlot.
-  plan.steps[0].noise_slots.emplace_back(0, 0);
-  EXPECT_DEATH(dist::validate_plan(plan), "does not match the gate");
 }
 
 // ---- ExecutionPlan::validate ----------------------------------------------

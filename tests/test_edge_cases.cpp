@@ -24,9 +24,19 @@ TEST(EdgeCase, OneQubitCircuitAllPaths) {
   c.add(Gate::t(0));
   c.add(Gate::h(0));
   const auto ref = sv::FlatSimulator().simulate(c);
-  Options opt;
-  opt.limit = 1;
-  EXPECT_LT(Engine::compile(c, opt).execute().state.max_abs_diff(ref), 1e-12);
+  // Every single-node target, with the automatic limits (the multilevel
+  // level-2 default must not exceed a 1-qubit first level) and an explicit
+  // limit of 1.
+  for (Target t : {Target::Flat, Target::Hierarchical, Target::Multilevel}) {
+    for (unsigned limit : {0u, 1u}) {
+      Options opt;
+      opt.target = t;
+      opt.limit = limit;
+      EXPECT_LT(Engine::compile(c, opt).execute().state.max_abs_diff(ref),
+                1e-12)
+          << target_name(t) << " limit " << limit;
+    }
+  }
 }
 
 TEST(EdgeCase, EmptyCircuitSimulates) {

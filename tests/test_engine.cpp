@@ -108,7 +108,8 @@ TEST(Engine, MatchesLegacyPathsBitForBit) {
     dist::DistState state(n, 2);
     dist::DistOptions dopt;
     dopt.process_qubits = 2;
-    dist::execute_plan(dist::compile_plan(c, dopt), state, {},
+    const dist::DistPlan dplan = dist::compile_plan(c, dopt);
+    dist::execute_plan(dplan, dplan.circuit, state, {},
                        t == Target::DistributedThreaded
                            ? &dist::threaded_backend()
                            : &dist::serial_backend());

@@ -49,6 +49,10 @@ std::vector<Options> all_target_options() {
     if (target_is_distributed(t)) o.process_qubits = 2;
     out.push_back(o);
   }
+  // The distributed path with per-rank inner parts.
+  Options inner = out[3];  // distributed-serial
+  inner.level2_limit = 3;
+  out.push_back(inner);
   return out;
 }
 

@@ -74,7 +74,8 @@ TEST_P(VirtualRankCorrectness, DistributedMatchesFlat) {
   DistState state(9, 3, hosts);
   DistOptions opt;
   opt.process_qubits = 3;
-  execute_plan(compile_plan(c, opt), state, {});
+  const DistPlan plan = compile_plan(c, opt);
+  execute_plan(plan, plan.circuit, state, {});
   const auto flat = sv::FlatSimulator().simulate(c);
   EXPECT_LT(state.to_state_vector().max_abs_diff(flat), 1e-10)
       << hosts << " hosts";
