@@ -1,6 +1,8 @@
 #include "common/parallel.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <exception>
 #include <memory>
 
 #include "common/trace.hpp"
@@ -22,13 +24,17 @@ struct InlineDepthGuard {
 unsigned resolved_threads() {
   const unsigned configured = g_threads.load(std::memory_order_relaxed);
   if (configured != 0) return configured;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
+  // Asked once: hardware_concurrency() re-reads /sys on every call (about
+  // 4 us on glibc 2.36), and every kernel call passes through here.
+  static const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  return hw;
 }
 
 /// A minimal fork-join pool: workers sleep between parallel regions.
 /// Recreated if the requested width changes. One region at a time:
-/// concurrent run() callers serialize on run_mu_.
+/// concurrent run() callers serialize on run_mu_. The first exception a
+/// chunk throws stops further chunks from starting and is rethrown on the
+/// caller once every participant has left the region.
 ///
 /// Lock discipline (thread-safety analysis): the wakeup protocol state
 /// (epoch_/stop_/pending_) and the region parameters are all guarded by
@@ -79,9 +85,14 @@ class Pool {
     }
     cv_.notify_all();
     work(chunks);  // calling thread participates
-    MutexLock lk(mu_);
-    while (pending_ != 0) done_cv_.wait(lk);
-    fn_ = nullptr;
+    std::exception_ptr error;
+    {
+      MutexLock lk(mu_);
+      while (pending_ != 0) done_cv_.wait(lk);
+      fn_ = nullptr;
+      std::swap(error, error_);
+    }
+    if (error) std::rethrow_exception(error);
   }
 
  private:
@@ -110,8 +121,8 @@ class Pool {
   /// (whose decrement below is back under mu_) reaches zero. The only
   /// sanctioned no-analysis escape outside the annotation header.
   void work(Index chunks) HISIM_NO_THREAD_SAFETY_ANALYSIS {
-    {
-      InlineDepthGuard in_region;  // nested for_range inside fn runs inline
+    try {
+      InlineDepthGuard depth;  // nested for_range inside fn runs inline
       for (;;) {
         const Index c = next_chunk_.fetch_add(1, std::memory_order_relaxed);
         if (c >= chunks) break;
@@ -119,6 +130,10 @@ class Pool {
         const Index hi = std::min(end_, lo + grain_);
         (*fn_)(lo, hi);
       }
+    } catch (...) {
+      next_chunk_.store(chunks, std::memory_order_relaxed);  // start no more
+      MutexLock lk(mu_);
+      if (!error_) error_ = std::current_exception();
     }
     MutexLock lk(mu_);
     if (--pending_ == 0) done_cv_.notify_all();
@@ -132,6 +147,7 @@ class Pool {
   std::uint64_t epoch_ HISIM_GUARDED_BY(mu_) = 0;
   bool stop_ HISIM_GUARDED_BY(mu_) = false;
   int pending_ HISIM_GUARDED_BY(mu_) = 0;
+  std::exception_ptr error_ HISIM_GUARDED_BY(mu_);  // first throw of a region
   // Region parameters: written under mu_ by run(), read lock-free inside
   // work() during a region (see work()'s publication protocol).
   Index begin_ HISIM_GUARDED_BY(mu_) = 0;
@@ -160,11 +176,13 @@ void set_num_threads(unsigned n) {
 
 unsigned num_threads() { return resolved_threads(); }
 
+bool in_region() { return tl_inline_depth > 0; }
+
 void for_range(Index begin, Index end,
                const std::function<void(Index, Index)>& fn, Index grain) {
   if (end <= begin) return;
   const unsigned width = resolved_threads();
-  if (width <= 1 || end - begin <= grain || tl_inline_depth > 0) {
+  if (width <= 1 || end - begin <= grain || in_region()) {
     fn(begin, end);
     return;
   }

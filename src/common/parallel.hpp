@@ -94,8 +94,13 @@ namespace parallel {
 /// concurrency. Takes effect on the next parallel_for call.
 void set_num_threads(unsigned n);
 
-/// Current configured worker count (after defaulting).
+/// Current configured worker count (after defaulting). The hardware
+/// value behind the default is read once per process.
 unsigned num_threads();
+
+/// True when this thread is inside a for_range region or an inline_scope,
+/// i.e. when a for_range issued here would run inline.
+bool in_region();
 
 /// Invoke fn(begin, end) over a partition of [begin, end) across workers.
 /// Ranges below `grain` run inline on the calling thread.
@@ -106,6 +111,10 @@ unsigned num_threads();
 /// kernels may be invoked from already-parallel code without deadlocking
 /// the fork-join pool. Concurrent top-level calls from distinct threads
 /// are serialized against each other.
+///
+/// Exceptions: the first exception thrown by fn in a pooled region stops
+/// further chunks from starting and is rethrown here once the region has
+/// drained; the pool stays usable.
 void for_range(Index begin, Index end,
                const std::function<void(Index, Index)>& fn,
                Index grain = Index{1} << 12);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <exception>
 #include <sstream>
 
 #include "common/check.hpp"
@@ -127,29 +126,17 @@ void json_params(std::ostringstream& os, bool& first,
   os << '}';
 }
 
-/// Fans fn(i) over the worker pool, one index per chunk. Any throw
-/// (allocation failure, internal check) is captured and rethrown on the
-/// calling thread — an exception must never escape into the pool's
-/// worker loop. Shared by execute_sweep and execute_trajectories.
+/// Fans fn(i) over the worker pool, one index per chunk. The first throw
+/// (allocation failure, internal check) is rethrown on the calling thread
+/// by for_range. Shared by execute_sweep and execute_trajectories.
 void run_indexed_on_pool(std::size_t count,
                          const std::function<void(std::size_t)>& fn) {
-  Mutex err_mu;
-  std::exception_ptr first_error;
   parallel::for_range(
       0, count,
       [&](Index lo, Index hi) {
-        for (Index i = lo; i < hi; ++i) {
-          try {
-            fn(static_cast<std::size_t>(i));
-          } catch (...) {
-            MutexLock lk(err_mu);
-            if (!first_error) first_error = std::current_exception();
-            return;
-          }
-        }
+        for (Index i = lo; i < hi; ++i) fn(static_cast<std::size_t>(i));
       },
       /*grain=*/1);
-  if (first_error) std::rethrow_exception(first_error);
 }
 
 }  // namespace
@@ -392,10 +379,9 @@ ExecutionPlan Engine::compile(const Circuit& c) const {
       po.limit = limit;
       po.seed = opt_.seed;
       if (opt_.target == Target::Multilevel) {
-        // Automatic level 2: half the first level, at least 2 — but never
-        // above the first level (a 1-qubit circuit has limit 1).
+        // Never above the first level (a 1-qubit circuit has limit 1).
         const unsigned level2 = std::min(
-            opt_.level2_limit == 0 ? std::max(2u, limit / 2)
+            opt_.level2_limit == 0 ? Options::kAutoLevel2Limit
                                    : opt_.level2_limit,
             limit);
         impl->partitioning = partition::partition_two_level(dag, po, level2);

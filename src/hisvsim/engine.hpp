@@ -83,10 +83,17 @@ struct Options {
   /// bits do not depend on the thread count.
   unsigned limit = 0;
   /// Second-level (cache) limit for Multilevel and the distributed
-  /// targets' inner level. 0 = auto for Target::Multilevel (half the
-  /// effective limit, at least 2, at most the effective limit), off for
-  /// the distributed targets.
+  /// targets' inner level. 0 = auto for Target::Multilevel
+  /// (kAutoLevel2Limit, at most the effective limit), off for the
+  /// distributed targets.
   unsigned level2_limit = 0;
+  /// Multilevel's automatic level 2: 14 qubits, a 256 KiB inner buffer,
+  /// best or within noise of the best in a --level2 sweep up to n = 20
+  /// (docs/ARCHITECTURE.md, "Working-set limit"). Fixed rather than read
+  /// from the host's cache sizes, because the inner partition decides the
+  /// gate order and so the result bits: the same plan must give the same
+  /// bits on every host.
+  static constexpr unsigned kAutoLevel2Limit = 14;
   /// Number of process ("rank") qubits; 2^p simulated ranks. Required
   /// (> 0) for the distributed targets, ignored otherwise.
   unsigned process_qubits = 0;

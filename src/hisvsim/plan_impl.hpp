@@ -25,9 +25,8 @@ namespace hisim::detail {
 /// guard. Anything mutable an execute needs (bound circuits, sampled
 /// noise ops, per-point Results) lives on that execute's stack; the only
 /// locks on the execute path are the worker pool's own (common/
-/// parallel.cpp) and the error-capture Mutex in run_indexed_on_pool.
-/// Keep it that way: a mutable member added here would need a capability
-/// and would serialize every concurrent execute.
+/// parallel.cpp). Keep it that way: a mutable member added here would
+/// need a capability and would serialize every concurrent execute.
 struct PlanImpl {
   Options opt;
   Circuit circuit;  // single-node / IQS targets execute this directly

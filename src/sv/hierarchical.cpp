@@ -239,8 +239,11 @@ std::map<std::string, double> run_hierarchical(
     flops += p.flops;
   }
 
-  Workers ws{std::vector<Worker>(parallel::num_threads()),
-             {widest}, ops != nullptr ? *ops : kernel_ops()};
+  // Inside a parallel region every for_range runs inline, so one slot
+  // does all the work; more would only hold buffers.
+  const unsigned slots = parallel::in_region() ? 1 : parallel::num_threads();
+  Workers ws{std::vector<Worker>(slots), {widest},
+             ops != nullptr ? *ops : kernel_ops()};
   if (!inner.empty()) ws.widest.push_back(widest_inner);
   for (Worker& w : ws.slots) w.buffers.resize(ws.widest.size());
   allocate(ws, 0, 0);  // slot 0 runs every serial level

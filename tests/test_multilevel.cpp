@@ -5,6 +5,8 @@
 #include <cstring>
 
 #include "circuits/generators.hpp"
+#include "common/parallel.hpp"
+#include "hisvsim/engine.hpp"
 #include "sv/hierarchical.hpp"
 #include "sv/simulator.hpp"
 
@@ -106,6 +108,69 @@ TEST(TwoLevelSim, WholePartInnerLevelEqualsOneLevel) {
           << name << " " << ops->name;
     }
   }
+}
+
+bool bit_identical(const sv::StateVector& a, const sv::StateVector& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.bytes()) == 0;
+}
+
+// Sweep points run inside a pool region, so each multilevel execute there
+// uses one worker slot; a top-level execute forks over every slot. Both
+// run each part's blocks in order, so the states agree to the bit, at
+// every thread count.
+TEST(TwoLevelSim, SweepBitIdenticalAcrossThreadCountsAndToExecute) {
+  const auto inst = circuits::qaoa_instance(10, 2, 5);
+  Options o;
+  o.target = Target::Multilevel;
+  o.limit = 6;
+  o.level2_limit = 3;
+  const ExecutionPlan plan = Engine::compile(inst.circuit, o);
+  ASSERT_GT(plan.num_inner_parts(), plan.num_parts());
+  std::vector<ParamBinding> points;
+  for (unsigned i = 0; i < 6; ++i)
+    points.push_back(inst.uniform_binding(0.2 + 0.15 * i, 0.1 + 0.05 * i));
+
+  std::vector<std::vector<Result>> sweeps;
+  for (unsigned workers : {1u, 2u, 4u}) {
+    parallel::set_num_threads(workers);
+    sweeps.push_back(plan.execute_sweep(points));
+  }
+  parallel::set_num_threads(4);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    ExecOptions x;
+    x.bindings = points[i];
+    const Result ref = plan.execute(x);
+    for (std::size_t w = 0; w < sweeps.size(); ++w)
+      EXPECT_TRUE(bit_identical(sweeps[w][i].state, ref.state))
+          << "point " << i << ", sweep " << w;
+  }
+  parallel::set_num_threads(0);
+}
+
+// The automatic level 2 is the constant Options::kAutoLevel2Limit (not a
+// fraction of the first level): at n = 16 it bounds every inner part.
+TEST(TwoLevelSim, AutoLevel2IsTheConstant) {
+  const Circuit c = circuits::qft(16);
+  Options o;
+  o.target = Target::Multilevel;
+  const ExecutionPlan automatic = Engine::compile(c, o);
+  o.level2_limit = Options::kAutoLevel2Limit;
+  const ExecutionPlan pinned = Engine::compile(c, o);
+  EXPECT_EQ(automatic.num_inner_parts(), pinned.num_inner_parts());
+  EXPECT_TRUE(bit_identical(automatic.execute().state, pinned.execute().state));
+
+  const dag::CircuitDag d(automatic.circuit());
+  partition::PartitionOptions po;
+  po.strategy = o.strategy;
+  po.limit = 16;
+  po.seed = o.seed;
+  const auto two =
+      partition::partition_two_level(d, po, Options::kAutoLevel2Limit);
+  EXPECT_EQ(two.total_inner_parts(), automatic.num_inner_parts());
+  for (const partition::Partitioning& inner : two.level2)
+    for (const partition::Part& p : inner.parts)
+      EXPECT_LE(p.working_set(), Options::kAutoLevel2Limit);
 }
 
 }  // namespace

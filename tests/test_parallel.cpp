@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
+#include <thread>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
 
@@ -173,6 +176,78 @@ TEST(Parallel, ConcurrentTopLevelRegionsSerialize) {
       raw.join();
     });
   issuers.join();
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  set_num_threads(0);
+}
+
+TEST(Parallel, NumThreadsHonoursSetAndCachedHardwareValue) {
+  set_num_threads(3);
+  EXPECT_EQ(num_threads(), 3u);
+  set_num_threads(0);
+  const unsigned hw = num_threads();
+  EXPECT_GE(hw, 1u);
+  EXPECT_EQ(hw, std::max(1u, std::thread::hardware_concurrency()));
+  set_num_threads(2);
+  EXPECT_EQ(num_threads(), 2u);
+  set_num_threads(0);
+  EXPECT_EQ(num_threads(), hw);
+}
+
+TEST(Parallel, InRegionInsideRegionsAndInlineScopes) {
+  EXPECT_FALSE(in_region());
+  {
+    inline_scope guard;
+    EXPECT_TRUE(in_region());
+  }
+  EXPECT_FALSE(in_region());
+  set_num_threads(4);
+  std::atomic<int> inside{0};
+  for_range(0, 4, [&](Index, Index) { inside += in_region() ? 1 : 0; },
+            /*grain=*/1);
+  EXPECT_EQ(inside.load(), 4);
+  EXPECT_FALSE(in_region());
+  set_num_threads(0);
+}
+
+TEST(Parallel, ChunkExceptionReachesCallerAndPoolStaysUsable) {
+  set_num_threads(4);
+  for (Index thrower : {Index{0}, Index{2}, Index{3}}) {
+    std::atomic<int> ran{0};
+    try {
+      for_range(
+          0, 4,
+          [&](Index lo, Index) {
+            ran.fetch_add(1);
+            if (lo == thrower) throw Error("chunk failed");
+          },
+          /*grain=*/1);
+      FAIL() << "expected the chunk's Error on the caller";
+    } catch (const Error& e) {
+      EXPECT_STREQ(e.what(), "chunk failed");
+    }
+    EXPECT_GE(ran.load(), 1);
+    EXPECT_LE(ran.load(), 4);
+  }
+  // Every chunk throwing still yields exactly one Error, and a throw from
+  // a nested (inline) region travels out the same way.
+  EXPECT_THROW(for_range(0, 64, [](Index, Index) { throw Error("all"); }, 1),
+               Error);
+  EXPECT_THROW(for_range(
+                   0, 4,
+                   [](Index, Index) {
+                     for_range(0, 8, [](Index lo, Index hi) {
+                       if (lo <= 5 && 5 < hi) throw Error("nested");
+                     }, 1);
+                   },
+                   1),
+               Error);
+  // The pool is intact: the next region covers its range exactly once.
+  std::vector<std::atomic<int>> hits(4096);
+  for_range(0, hits.size(),
+            [&](Index lo, Index hi) {
+              for (Index i = lo; i < hi; ++i) hits[i].fetch_add(1);
+            },
+            /*grain=*/64);
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
   set_num_threads(0);
 }
