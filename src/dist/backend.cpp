@@ -137,8 +137,11 @@ class ThreadedHandle final : public ExchangeHandle {
 std::unique_ptr<ExchangeHandle> SerialBackend::start_exchange(
     const ExchangePlan& plan) {
   Timer timer;
-  for (unsigned r2 = 0; r2 < plan.num_ranks; ++r2)
+  for (unsigned r2 = 0; r2 < plan.num_ranks; ++r2) {
+    trace::TraceSpan span("exchange.shard", "exchange");
+    span.arg("rank", r2);
     fill_shard(plan, r2, /*use_pool=*/true);
+  }
   return std::make_unique<ReadyHandle>(timer.seconds());
 }
 

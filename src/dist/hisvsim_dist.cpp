@@ -8,8 +8,6 @@
 #include "common/timer.hpp"
 #include "common/trace.hpp"
 #include "dag/circuit_dag.hpp"
-#include "sv/hierarchical.hpp"
-#include "sv/kernels.hpp"
 
 namespace hisim::dist {
 
@@ -34,20 +32,8 @@ double pipelined_total_seconds(
 
 }  // namespace
 
-Circuit step_circuit(const Circuit& c, const DistPlan::Step& s, unsigned l) {
-  Circuit out(l);
-  for (const std::string& pn : c.param_names()) out.param(pn);
-  for (std::size_t gi : s.gates) {
-    Gate g = c.gate(gi);
-    for (Qubit& q : g.qubits) q = static_cast<Qubit>(s.layout.slot_of(q));
-    out.add(std::move(g));
-  }
-  return out;
-}
-
 DistPlan compile_plan(const Circuit& c, const DistOptions& opt,
                       const RankLayout* initial) {
-  Timer compile_timer;
   const unsigned n = c.num_qubits();
   const unsigned p = opt.process_qubits;
   HISIM_CHECK_MSG(p > 0 && p < n, "need 0 < process_qubits < num_qubits");
@@ -59,7 +45,6 @@ DistPlan compile_plan(const Circuit& c, const DistOptions& opt,
   DistPlan plan;
   plan.num_qubits = n;
   plan.process_qubits = p;
-  plan.level2_limit = opt.level2_limit;
   plan.initial_layout = initial ? *initial : RankLayout::identity(n, p);
   HISIM_CHECK_MSG(plan.initial_layout.num_qubits() == n &&
                       plan.initial_layout.process_qubits() == p,
@@ -82,36 +67,35 @@ DistPlan compile_plan(const Circuit& c, const DistOptions& opt,
     trace::TraceSpan span("dag.build", "dist");
     return dag::CircuitDag(plan.circuit);
   }();
-  const partition::Partitioning parts = partition::make_partition(dag, po);
-  plan.partition_seconds = parts.partition_seconds;
+  // The second level, if any, partitions each part with the cache-sized
+  // limit; it is booked as partition time, not compute.
+  plan.partitioning = partition::partition_two_level(
+      dag, po, std::min(opt.level2_limit, po.limit));
+  const partition::TwoLevelPartitioning& tp = plan.partitioning;
 
   // Walk the layout chain once: each part's target layout depends only on
   // the previous part's, so the whole exchange schedule is known before
-  // any amplitude exists.
+  // any amplitude exists. Each part's tree is compiled against its layout:
+  // the root covers the shard, every local qubit on its slot.
   trace::TraceSpan schedule_span("schedule.build", "dist");
   const RankLayout* prev = &plan.initial_layout;
-  for (const partition::Part& part : parts.parts) {
+  std::vector<Qubit> slot(n);
+  for (std::size_t i = 0; i < tp.level1.num_parts(); ++i) {
     DistPlan::Step step;
-    step.layout = RankLayout::for_part(n, p, part.qubits, *prev);
-    step.gates = part.gates;
-
-    if (opt.level2_limit > 0) {
-      // Second level: partition the part's slot-local sub-circuit with the
-      // cache-sized limit. Booked as partition time, not compute. The DAG
-      // points into `local`, so `local` must outlive it.
-      partition::PartitionOptions po2 = po;
-      po2.limit = std::min(opt.level2_limit, l);
-      const Circuit local = step_circuit(plan.circuit, step, l);
-      const dag::CircuitDag sdag(local);
-      step.inner = partition::make_partition(sdag, po2);
-      plan.inner_parts += step.inner.num_parts();
-      plan.partition_seconds += step.inner.partition_seconds;
+    step.layout = RankLayout::for_part(n, p, tp.level1.parts[i].qubits, *prev);
+    partition::Part shard;
+    shard.gates = tp.level1.parts[i].gates;
+    for (Qubit q = 0; q < n; ++q) {
+      slot[q] = static_cast<Qubit>(step.layout.slot_of(q));
+      if (slot[q] < l) shard.qubits.push_back(q);
     }
-
+    step.program = {n, plan.circuit.num_gates(),
+                    sv::compile_part(plan.circuit, shard, slot, l,
+                                     tp.level2.empty() ? nullptr
+                                                       : &tp.level2[i])};
     plan.steps.push_back(std::move(step));
     prev = &plan.steps.back().layout;
   }
-  plan.compile_seconds = compile_timer.seconds();
   return plan;
 }
 
@@ -119,8 +103,6 @@ std::map<std::string, double> execute_plan(
     const DistPlan& plan, const Circuit& c, DistState& state,
     const NetworkModel& net, CommBackend* backend_ptr,
     const sv::KernelOps* kernels) {
-  const sv::KernelOps& kops =
-      kernels != nullptr ? *kernels : sv::kernel_ops();
   const unsigned n = plan.num_qubits;
   const unsigned p = plan.process_qubits;
   HISIM_CHECK_MSG(state.num_qubits() == n && state.num_ranks() == (1u << p),
@@ -168,11 +150,6 @@ std::map<std::string, double> execute_plan(
     // backend — its movement already happened).
     const double comm_begin = wall.seconds();
 
-    // Place the step's gates on local slots while the exchange is
-    // (possibly) still in flight. Gate count and order follow step.gates,
-    // so step.inner's gate indices stay valid.
-    const Circuit local = step_circuit(c, step, n - p);
-
     // (2) Local apply: every step gate sits on a local slot, so it is
     // block-diagonal over ranks and applies shard-locally. Ranks are
     // independent, so the apply loop fans out over parallel::for_range (one
@@ -190,13 +167,7 @@ std::map<std::string, double> execute_plan(
             trace::TraceSpan apply_span("apply", "dist");
             apply_span.arg("rank", rank);
             const double t0 = wall.seconds();
-            if (step.inner.num_parts() == 0) {
-              for (const Gate& g : local.gates())
-                sv::apply_gate(state.local(rank), g, kops);
-            } else {
-              sv::run_hierarchical(local, step.inner, state.local(rank), {},
-                                   &kops);
-            }
+            sv::run_parts(step.program, c, state.local(rank), kernels);
             const double t1 = wall.seconds();
             MutexLock lk(comp_mu);
             if (comp_begin < 0.0 || t0 < comp_begin) comp_begin = t0;

@@ -7,7 +7,8 @@
 #include "circuit/circuit.hpp"
 #include "dist/backend.hpp"
 #include "dist/dist_state.hpp"
-#include "partition/partition.hpp"
+#include "partition/multilevel.hpp"
+#include "sv/hierarchical.hpp"
 #include "sv/kernel_dispatch.hpp"
 
 namespace hisim::dist {
@@ -21,36 +22,36 @@ struct DistOptions {
   /// larger than n - p) is clamped to the local qubit count.
   partition::PartitionOptions part;
   /// Nonzero enables a second, cache-sized partitioning level inside
-  /// every part (paper Sec. IV multi-level).
+  /// every part (paper Sec. IV multi-level), capped at the first level's
+  /// limit.
   unsigned level2_limit = 0;
 };
 
 /// Compiled form of one distributed run: everything that does not depend
-/// on amplitude values — the (possibly lowered) circuit, the partitioning,
-/// the per-part target layouts (the exchange schedule) and the optional
-/// cache-sized second-level partitioning — computed once and reusable
-/// across any number of executions. Steps hold indices into `circuit`, so
-/// the gates exist once; step_circuit() places a step's gates on local
-/// slots. Immutable after compile_plan(); safe to share between threads
-/// executing concurrently on separate DistStates.
+/// on amplitude values — the (possibly lowered) circuit, its one- or
+/// two-level partitioning, the per-part target layouts (the exchange
+/// schedule) and each part's compiled part tree — computed once and
+/// reusable across any number of executions. The trees hold indices into
+/// `circuit`, so the gates exist once. Immutable after compile_plan();
+/// safe to share between threads executing concurrently on separate
+/// DistStates.
 struct DistPlan {
   unsigned num_qubits = 0;
   unsigned process_qubits = 0;   // p: 2^p virtual ranks
-  unsigned level2_limit = 0;     // nonzero = steps carry inner partitions
   Circuit circuit;               // lowered when wide gates required it
   RankLayout initial_layout;     // layout the exchange schedule starts from
-  std::size_t inner_parts = 0;   // total second-level parts across steps
-  double partition_seconds = 0;  // partitioning share of compile_seconds
-  double compile_seconds = 0;    // full wall-clock cost of compile_plan()
+  /// Level 1 gives the steps; level 2 (empty unless
+  /// DistOptions::level2_limit > 0) the cache-sized inner parts.
+  partition::TwoLevelPartitioning partitioning;
 
   /// One entry per first-level part, in execution order.
   struct Step {
     RankLayout layout;   // post-exchange layout (== previous when no move)
-    /// The part's gates: indices into DistPlan::circuit, ascending.
-    std::vector<std::size_t> gates;
-    /// Second-level partitioning of the step circuit (empty when
-    /// level2_limit == 0). Its gate indices are positions in `gates`.
-    partition::Partitioning inner;
+    /// The part on one rank's shard: a root of width l = n - p with each
+    /// qubit on its slot under `layout`. Its leaves hold the part's gates
+    /// (indices into DistPlan::circuit), ascending within a leaf; it is a
+    /// leaf itself unless the part has inner parts.
+    sv::PartProgram program;
   };
   std::vector<Step> steps;
 
@@ -62,18 +63,13 @@ struct DistPlan {
 /// permutation whose slot_of/qubit_at maps invert each other, every
 /// amplitude conserved across each consecutive layout pair (each (rank,
 /// offset) destination hit exactly once — no shard byte lost or
-/// duplicated), the step gate indices covering every plan gate exactly
-/// once (ascending within a step), every step gate's qubits local under
-/// its step's layout, and inner partitionings valid for their step
-/// circuits. Checked builds run this from ExecutionPlan::validate(); tests
-/// corrupt a copied plan's schedule and assert the abort.
+/// duplicated), the steps' part trees covering every plan gate exactly
+/// once (ascending within a leaf), every step gate's qubits local under
+/// its step's layout, and the partitioning valid on both levels
+/// (partition::validate_two_level). Checked builds run this from
+/// ExecutionPlan::validate(); tests corrupt a copied plan's schedule and
+/// assert the abort.
 void validate_plan(const DistPlan& plan);
-
-/// The gates `s.gates` of `c` in order, with each qubit placed on its
-/// slot under `s.layout`: an `l`-qubit circuit (l = local qubits) that
-/// applies shard-locally. Keeps `c`'s parameter registry, so a symbolic
-/// `c` yields a symbolic step circuit.
-Circuit step_circuit(const Circuit& c, const DistPlan::Step& s, unsigned l);
 
 /// Builds the execution plan for `c` under `opt`. `initial` is the layout
 /// the target state will carry when execution starts; nullptr = identity.
@@ -103,9 +99,10 @@ DistPlan compile_plan(const Circuit& c, const DistOptions& opt,
 /// `c` is the executed form of plan.circuit: the same gates with symbolic
 /// angles bound and noise slots holding one trajectory's sampled operators
 /// (or plan.circuit itself when there is nothing to materialize). Its
-/// qubit and gate counts must match the plan's. Each step places its
-/// gates of `c` on local slots while its exchange is in flight; the
-/// layouts and inner partitions are reused as-is.
+/// qubit and gate counts must match the plan's. Each rank runs its step's
+/// part tree on its shard in one sv::run_parts call: the gates of `c` in
+/// place, or the inner parts by gather-execute-scatter. Nothing is
+/// remapped or rebuilt per execution.
 ///
 /// `kernels` selects the apply-kernel tier for every shard-local gate
 /// (nullptr = the Auto-resolved default; see sv/kernel_dispatch.hpp).

@@ -1,9 +1,8 @@
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
-#include "dag/circuit_dag.hpp"
 #include "dist/hisvsim_dist.hpp"
-#include "partition/partition.hpp"
 
 /// Deep validation of a compiled DistPlan — the exchange-schedule half of
 /// the checked-build layer (common/check.hpp). Everything here re-derives
@@ -69,34 +68,13 @@ void check_exchange_conserves(const RankLayout& from, const RankLayout& to,
   // duplicates is a bijection, so nothing was lost either.
 }
 
-/// The steps' gate indices must cover every plan gate exactly once,
-/// ascending within a step — the schedule may reorder gates only across
-/// parts (which the acyclic partitioning guarantees is dependency-safe),
-/// never drop or duplicate one.
-void check_gate_cover(const DistPlan& plan) {
-  const std::size_t total = plan.circuit.num_gates();
-  std::size_t step_gates = 0;
-  for (const DistPlan::Step& s : plan.steps) step_gates += s.gates.size();
-  HISIM_INVARIANT(step_gates == total, "steps carry "
-                                           << step_gates
-                                           << " gates, plan circuit has "
-                                           << total);
-  std::vector<bool> seen(total, false);
-  for (std::size_t si = 0; si < plan.steps.size(); ++si) {
-    const std::vector<std::size_t>& gates = plan.steps[si].gates;
-    for (std::size_t j = 0; j < gates.size(); ++j) {
-      const std::size_t gi = gates[j];
-      HISIM_INVARIANT(gi < total, "step " << si << " carries gate index "
-                                          << gi << " of " << total);
-      HISIM_INVARIANT(j == 0 || gates[j - 1] < gi,
-                      "step " << si << " gate indices not ascending at "
-                              << "position " << j);
-      HISIM_INVARIANT(!seen[gi], "plan gate " << gi
-                                              << " carried by two steps");
-      seen[gi] = true;
-    }
-  }
-  // Equal totals + no index twice => every plan gate carried exactly once.
+/// Each step's part-tree leaves in run order, tagged with the step index.
+using Leaves = std::vector<std::pair<std::size_t, const sv::PartNode*>>;
+
+void collect_leaves(std::size_t step, const sv::PartNode& node,
+                    Leaves& out) {
+  if (node.parts.empty()) out.emplace_back(step, &node);
+  for (const sv::PartNode& p : node.parts) collect_leaves(step, p, out);
 }
 
 }  // namespace
@@ -114,40 +92,57 @@ void validate_plan(const DistPlan& plan) {
   const unsigned l = n - p;
   check_layout_shape(plan.initial_layout, n, p, "initial layout", 0);
 
-  check_gate_cover(plan);
-
   const RankLayout* prev = &plan.initial_layout;
   for (std::size_t si = 0; si < plan.steps.size(); ++si) {
     const DistPlan::Step& s = plan.steps[si];
     check_layout_shape(s.layout, n, p, "layout", si);
     check_exchange_conserves(*prev, s.layout, si);
     prev = &s.layout;
+  }
 
-    // Locality: after the step's exchange every qubit its gates touch must
-    // sit on a shard-local slot, or the gate is not block-diagonal over
-    // ranks.
-    for (std::size_t gi : s.gates) {
+  // The gates the steps' trees run must cover every plan gate exactly
+  // once, ascending within a leaf — the schedule may reorder gates only
+  // across parts (which the acyclic partitioning guarantees is
+  // dependency-safe), never drop or duplicate one.
+  Leaves leaves;
+  for (std::size_t si = 0; si < plan.steps.size(); ++si)
+    collect_leaves(si, plan.steps[si].program.root, leaves);
+  const std::size_t total = plan.circuit.num_gates();
+  std::size_t step_gates = 0;
+  for (const auto& [si, leaf] : leaves) step_gates += leaf->ops.size();
+  HISIM_INVARIANT(step_gates == total, "steps carry "
+                                           << step_gates
+                                           << " gates, plan circuit has "
+                                           << total);
+  std::vector<bool> seen(total, false);
+  for (const auto& [si, leaf] : leaves) {
+    const std::vector<sv::PartOp>& ops = leaf->ops;
+    for (std::size_t j = 0; j < ops.size(); ++j) {
+      const std::size_t gi = ops[j].gate;
+      HISIM_INVARIANT(gi < total, "step " << si << " carries gate index "
+                                          << gi << " of " << total);
+      HISIM_INVARIANT(j == 0 || ops[j - 1].gate < gi,
+                      "step " << si << " gate indices not ascending at "
+                              << "position " << j);
+      HISIM_INVARIANT(!seen[gi], "plan gate " << gi
+                                              << " carried by two steps");
+      seen[gi] = true;
+      // Locality: after the step's exchange every qubit the gate touches
+      // must sit on a shard-local slot, or it is not block-diagonal over
+      // ranks.
+      const RankLayout& layout = plan.steps[si].layout;
       const Gate& g = plan.circuit.gate(gi);
       for (Qubit q : g.qubits)
-        HISIM_INVARIANT(s.layout.slot_of(q) < l,
+        HISIM_INVARIANT(layout.slot_of(q) < l,
                         "step " << si << " gate " << gi << " '"
                                 << g.to_string() << "' touches qubit " << q
                                 << " on non-local slot "
-                                << s.layout.slot_of(q));
-    }
-
-    if (!s.inner.parts.empty()) {
-      // The DAG points into `local`, so `local` must outlive it.
-      const Circuit local = step_circuit(plan.circuit, s, l);
-      const dag::CircuitDag sdag(local);
-      try {
-        partition::validate(sdag, s.inner);
-      } catch (const Error& e) {
-        HISIM_INVARIANT(false, "step " << si << " inner partitioning invalid: "
-                                       << e.what());
-      }
+                                << layout.slot_of(q));
     }
   }
+  // Equal totals + no index twice => every plan gate carried exactly once.
+
+  partition::validate_two_level(plan.circuit, plan.partitioning);
 }
 
 }  // namespace hisim::dist

@@ -378,19 +378,20 @@ ExecutionPlan Engine::compile(const Circuit& c) const {
       po.strategy = opt_.strategy;
       po.limit = limit;
       po.seed = opt_.seed;
-      if (opt_.target == Target::Multilevel) {
-        // Never above the first level (a 1-qubit circuit has limit 1).
-        const unsigned level2 = std::min(
-            opt_.level2_limit == 0 ? Options::kAutoLevel2Limit
-                                   : opt_.level2_limit,
-            limit);
-        impl->partitioning = partition::partition_two_level(dag, po, level2);
-      } else {
-        impl->partitioning.level1 = partition::make_partition(dag, po);
-      }
-      impl->parts = impl->partitioning.level1.num_parts();
-      impl->inner_parts = impl->partitioning.total_inner_parts();
-      impl->partition_seconds = impl->partitioning.level1.partition_seconds;
+      // Multilevel's second level is never above the first (a 1-qubit
+      // circuit has limit 1); Hierarchical has none.
+      const unsigned level2 =
+          opt_.target == Target::Multilevel
+              ? std::min(opt_.level2_limit == 0 ? Options::kAutoLevel2Limit
+                                                : opt_.level2_limit,
+                         limit)
+              : 0;
+      impl->partitioning = partition::partition_two_level(dag, po, level2);
+      const partition::TwoLevelPartitioning& tp = impl->partitioning;
+      impl->program = sv::compile_parts(*source, tp.level1, tp.level2);
+      impl->parts = tp.level1.num_parts();
+      impl->inner_parts = tp.total_inner_parts();
+      impl->partition_seconds = tp.partition_seconds();
       break;
     }
 
@@ -406,8 +407,8 @@ ExecutionPlan Engine::compile(const Circuit& c) const {
       dopt.level2_limit = opt_.level2_limit;
       impl->dplan = dist::compile_plan(*source, dopt);
       impl->parts = impl->dplan.num_parts();
-      impl->inner_parts = impl->dplan.inner_parts;
-      impl->partition_seconds = impl->dplan.partition_seconds;
+      impl->inner_parts = impl->dplan.partitioning.total_inner_parts();
+      impl->partition_seconds = impl->dplan.partitioning.partition_seconds();
       impl->ranks = 1u << opt_.process_qubits;
       break;
     }
@@ -453,25 +454,6 @@ ExecutionPlan Engine::compile(const Circuit& c) const {
   }
   return plan;
 }
-
-namespace {
-
-/// Loads a full state vector into the identity-layout shards of `st`.
-void load_initial(dist::DistState& st, const sv::StateVector& init) {
-  HISIM_CHECK_MSG(init.num_qubits() == st.num_qubits(),
-                  "initial state has " << init.num_qubits()
-                                       << " qubits, plan expects "
-                                       << st.num_qubits());
-  const unsigned l = st.layout().local_qubits();
-  const Index ldim = st.layout().local_dim();
-  for (unsigned r = 0; r < st.num_ranks(); ++r) {
-    const Index base = Index{r} << l;
-    sv::StateVector& shard = st.local(r);
-    for (Index i = 0; i < ldim; ++i) shard[i] = init[base | i];
-  }
-}
-
-}  // namespace
 
 Result ExecutionPlan::execute(const ExecOptions& opts) const {
   HISIM_CHECK_MSG(impl_, "execute() called on an empty ExecutionPlan");
@@ -526,17 +508,21 @@ Result ExecutionPlan::execute_impl(const ExecOptions& opts,
   r.ranks = plan.ranks;
   r.metrics = plan.compile_metrics;
 
+  if (opts.initial_state)
+    HISIM_CHECK_MSG(opts.initial_state->num_qubits() == n,
+                    "initial state has " << opts.initial_state->num_qubits()
+                                         << " qubits, plan expects " << n);
   sv::StateVector state;
   Timer wall;
   if (!target_is_distributed(opt.target)) {
-    if (opts.initial_state) {
-      HISIM_CHECK_MSG(opts.initial_state->num_qubits() == n,
-                      "initial state has "
-                          << opts.initial_state->num_qubits()
-                          << " qubits, plan expects " << n);
-      state = *opts.initial_state;
-    } else {
-      state = sv::StateVector(n);
+    {
+      // Not a conditional expression: its type would be a const
+      // StateVector, copied instead of moved into `state`.
+      trace::TraceSpan span("state.init", "engine");
+      if (opts.initial_state)
+        state = *opts.initial_state;
+      else
+        state = sv::StateVector(n);
     }
     switch (opt.target) {
       case Target::Flat: {
@@ -548,16 +534,23 @@ Result ExecutionPlan::execute_impl(const ExecOptions& opts,
       }
       case Target::Hierarchical:
       case Target::Multilevel:
-        r.metrics.merge(sv::run_hierarchical(c, plan.partitioning.level1,
-                                             state, plan.partitioning.level2,
-                                             plan.kernels));
+        r.metrics.merge(sv::run_parts(plan.program, c, state, plan.kernels));
         break;
       default: break;  // unreachable
     }
     r.metrics["execute.wall_seconds"] = wall.seconds();
   } else {
-    dist::DistState st(n, opt.process_qubits);
-    if (opts.initial_state) load_initial(st, *opts.initial_state);
+    dist::DistState st = [&] {
+      trace::TraceSpan span("state.init", "engine");
+      dist::DistState init(n, opt.process_qubits);
+      if (!opts.initial_state) return init;
+      // The identity layout: rank r holds amplitudes [r << l, (r+1) << l).
+      const Index ldim = init.layout().local_dim();
+      for (unsigned rk = 0; rk < init.num_ranks(); ++rk)
+        std::copy_n(opts.initial_state->data() + Index{rk} * ldim, ldim,
+                    init.local(rk).data());
+      return init;
+    }();
     if (opt.target == Target::IqsBaseline) {
       r.metrics.merge(dist::run_iqs_baseline(c, st, opts.net, nullptr,
                                              plan.kernels));
@@ -576,6 +569,7 @@ Result ExecutionPlan::execute_impl(const ExecOptions& opts,
       state = st.to_state_vector();
       r.metrics["gather.seconds"] = gather_timer.seconds();
     } else {
+      trace::TraceSpan norm_span("norm", "engine");
       double norm = 0.0;
       for (unsigned rk = 0; rk < st.num_ranks(); ++rk)
         norm += st.local(rk).norm();
@@ -588,7 +582,10 @@ Result ExecutionPlan::execute_impl(const ExecOptions& opts,
     }
   }
 
-  r.norm = state.norm();
+  {
+    trace::TraceSpan span("norm", "engine");
+    r.norm = state.norm();
+  }
   // Checked builds: a unitary segment (no sampled trajectory operators, no
   // non-unitary matrices) must preserve the initial norm — a violation
   // means an apply kernel or the exchange lost or duplicated amplitudes.

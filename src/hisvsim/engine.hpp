@@ -197,7 +197,7 @@ struct Result {
   /// and the executor's own map — gather/apply/scatter seconds and
   /// "sv.*" traffic on the single-node targets, "compute.seconds" and
   /// "exchange.*" comm accounting on the distributed ones (see
-  /// run_hierarchical, dist::execute_plan and dist::run_iqs_baseline).
+  /// sv::run_parts, dist::execute_plan and dist::run_iqs_baseline).
   /// Serialized by to_json() as "metrics" on every target; keys vary by
   /// target, values are counts, seconds, or bytes per the key's suffix.
   std::map<std::string, double> metrics;

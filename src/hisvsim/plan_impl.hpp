@@ -9,6 +9,7 @@
 #include "hisvsim/engine.hpp"
 #include "noise/trajectory.hpp"
 #include "partition/multilevel.hpp"
+#include "sv/hierarchical.hpp"
 #include "sv/kernel_dispatch.hpp"
 
 /// Internal: the compiled-plan representation shared by engine.cpp (which
@@ -64,6 +65,9 @@ struct PlanImpl {
 
   /// Target::Hierarchical / Multilevel; level2 is empty for Hierarchical.
   partition::TwoLevelPartitioning partitioning;
+  /// Target::Hierarchical / Multilevel: `partitioning` compiled into the
+  /// part tree every execute runs.
+  sv::PartProgram program;
   dist::DistPlan dplan;  // Target::Distributed*
 
   const Circuit& executed_circuit() const {

@@ -1,7 +1,6 @@
 #include <cstddef>
 
 #include "common/check.hpp"
-#include "dag/circuit_dag.hpp"
 #include "hisvsim/plan_impl.hpp"
 #include "partition/multilevel.hpp"
 
@@ -17,19 +16,6 @@ namespace hisim {
 namespace {
 
 using detail::PlanImpl;
-
-/// partition::validate throws hisim::Error (it predates the checked-build
-/// layer and is also a user-facing precondition check); the deep validator
-/// converts that into the abort contract so a violation cannot be swallowed
-/// by a catch block somewhere up the execute path.
-void check_partitioning(const dag::CircuitDag& dag,
-                        const partition::Partitioning& p, const char* what) {
-  try {
-    partition::validate(dag, p);
-  } catch (const Error& e) {
-    HISIM_INVARIANT(false, what << " partitioning invalid: " << e.what());
-  }
-}
 
 void check_kernels(const PlanImpl& p) {
   HISIM_INVARIANT(p.kernels != nullptr, "plan carries no kernel ops table");
@@ -70,8 +56,6 @@ void check_target(const PlanImpl& p) {
     case Target::Hierarchical:
     case Target::Multilevel: {
       const partition::TwoLevelPartitioning& tp = p.partitioning;
-      const dag::CircuitDag dag(c);
-      check_partitioning(dag, tp.level1, "level-1");
       // Hierarchical carries no level-2 table, Multilevel one per part.
       const std::size_t want_level2 =
           p.opt.target == Target::Multilevel ? tp.level1.parts.size() : 0;
@@ -81,12 +65,9 @@ void check_target(const PlanImpl& p) {
                                            << tp.level1.parts.size()
                                            << " level-1 parts under "
                                            << target_name(p.opt.target));
-      for (std::size_t i = 0; i < tp.level2.size(); ++i) {
-        const Circuit sub = partition::part_subcircuit(c, tp.level1.parts[i]);
-        const dag::CircuitDag sdag(sub);
-        check_partitioning(sdag, tp.level2[i], "level-2");
-      }
+      partition::validate_two_level(c, tp);
       HISIM_INVARIANT(p.parts == tp.level1.num_parts() &&
+                          p.program.root.parts.size() == p.parts &&
                           p.inner_parts == tp.total_inner_parts(),
                       "plan part counts out of sync with partitioning");
       break;

@@ -10,6 +10,12 @@ std::size_t TwoLevelPartitioning::total_inner_parts() const {
   return n;
 }
 
+double TwoLevelPartitioning::partition_seconds() const {
+  double s = level1.partition_seconds;
+  for (const auto& p : level2) s += p.partition_seconds;
+  return s;
+}
+
 Circuit part_subcircuit(const Circuit& c, const Part& part) {
   Circuit sub(c.num_qubits(), c.name() + "_part");
   // Keep the parameter registry: level-2 partitioning runs at compile
@@ -26,6 +32,7 @@ TwoLevelPartitioning partition_two_level(const dag::CircuitDag& dag,
                   "second-level limit must not exceed the first-level limit");
   TwoLevelPartitioning out;
   out.level1 = make_partition(dag, opt);
+  if (level2_limit == 0) return out;
   out.level2.reserve(out.level1.num_parts());
   for (const Part& part : out.level1.parts) {
     const Circuit sub = part_subcircuit(dag.circuit(), part);
@@ -35,6 +42,30 @@ TwoLevelPartitioning partition_two_level(const dag::CircuitDag& dag,
     out.level2.push_back(make_partition(sub_dag, o2));
   }
   return out;
+}
+
+namespace {
+
+/// validate() as a deep-validator check: a violation aborts.
+void check(const Circuit& c, const Partitioning& p, const std::string& what) {
+  try {
+    validate(dag::CircuitDag(c), p);
+  } catch (const Error& e) {
+    HISIM_INVARIANT(false, what << " partitioning invalid: " << e.what());
+  }
+}
+
+}  // namespace
+
+void validate_two_level(const Circuit& c, const TwoLevelPartitioning& tp) {
+  check(c, tp.level1, "level-1");
+  const std::size_t parts = tp.level1.num_parts();
+  HISIM_INVARIANT(tp.level2.empty() || tp.level2.size() == parts,
+                  "level-2 table has " << tp.level2.size() << " entries for "
+                                       << parts << " level-1 parts");
+  for (std::size_t i = 0; i < tp.level2.size(); ++i)
+    check(part_subcircuit(c, tp.level1.parts[i]), tp.level2[i],
+          "level-2 (part " + std::to_string(i) + ")");
 }
 
 }  // namespace hisim::partition

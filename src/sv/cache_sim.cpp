@@ -1,9 +1,11 @@
 #include "sv/cache_sim.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "common/bits.hpp"
 #include "common/check.hpp"
+#include "sv/hierarchical.hpp"
 
 namespace hisim::sv {
 
@@ -80,9 +82,9 @@ constexpr Index amp_addr(Index i) { return i * kAmpBytes; }
 /// offset `base`. Models the paper's Fig. 1 access pattern: single-qubit
 /// (and controlled single-target) gates touch amplitude pairs with stride
 /// 2^target; diagonal gates stream linearly; generic k-qubit gates gather
-/// blocks.
-void replay_gate(const Gate& g, unsigned n, Index base,
-                 CacheHierarchy& cache) {
+/// blocks. `qs` are the gate's qubits on that vector.
+void replay_gate(const Gate& g, std::span<const Qubit> qs, unsigned n,
+                 Index base, CacheHierarchy& cache) {
   const Index dim_n = Index{1} << n;
   if (g.is_diagonal()) {
     for (Index i = 0; i < dim_n; ++i) cache.access(base + amp_addr(i));
@@ -90,9 +92,9 @@ void replay_gate(const Gate& g, unsigned n, Index base,
   }
   const unsigned nc = g.num_controls();
   if (nc > 0 || g.arity() == 1) {
-    const Qubit t = g.qubits.back();
+    const Qubit t = qs.back();
     Index cm = 0;
-    for (unsigned j = 0; j < nc; ++j) cm |= Index{1} << g.qubits[j];
+    for (unsigned j = 0; j < nc; ++j) cm |= Index{1} << qs[j];
     const Index tb = Index{1} << t;
     for (Index m = 0; m < (dim_n >> 1); ++m) {
       const Index i0 = bits::insert_zero(m, t);
@@ -107,17 +109,14 @@ void replay_gate(const Gate& g, unsigned n, Index base,
   // Generic k-qubit block gather.
   const unsigned k = g.arity();
   Index mask = 0;
-  for (Qubit q : g.qubits) mask |= Index{1} << q;
+  for (Qubit q : qs) mask |= Index{1} << q;
   const Index inv = ~mask & (dim_n - 1);
   const Index kdim = Index{1} << k;
-  std::vector<Index> offset(kdim);
-  for (Index t = 0; t < kdim; ++t) offset[t] = bits::deposit(t, mask);
   for (Index m = 0; m < (dim_n >> k); ++m) {
     const Index b = bits::deposit(m, inv);
-    for (Index t = 0; t < kdim; ++t)
-      cache.access(base + amp_addr(b | offset[t]));
-    for (Index t = 0; t < kdim; ++t)
-      cache.access(base + amp_addr(b | offset[t]));
+    for (int pass = 0; pass < 2; ++pass)  // gather, then scatter
+      for (Index t = 0, off = 0; t < kdim; ++t, off = (off - mask) & mask)
+        cache.access(base + amp_addr(b | off));
   }
 }
 
@@ -125,47 +124,30 @@ void replay_gate(const Gate& g, unsigned n, Index base,
 
 void replay_flat_trace(const Circuit& c, CacheHierarchy& cache) {
   for (const Gate& g : c.gates())
-    replay_gate(g, c.num_qubits(), /*base=*/0, cache);
+    replay_gate(g, g.qubits, c.num_qubits(), /*base=*/0, cache);
 }
 
 void replay_hierarchical_trace(const Circuit& c,
                                const partition::Partitioning& parts,
                                CacheHierarchy& cache) {
   const unsigned n = c.num_qubits();
-  const Index outer_bytes = dim(n) * kAmpBytes;
-  for (const partition::Part& part : parts.parts) {
-    const unsigned w = part.working_set();
-    // Inner vector lives past the outer one (fresh allocation per part).
-    const Index inner_base = outer_bytes;
-    Index mask = 0;
-    std::vector<Qubit> slot_of(n, 0);
-    for (unsigned j = 0; j < w; ++j) {
-      mask |= Index{1} << part.qubits[j];
-      slot_of[part.qubits[j]] = j;
-    }
+  // Inner vector lives past the outer one (fresh allocation per part).
+  const Index inner_base = dim(n) * kAmpBytes;
+  for (const PartNode& p : compile_parts(c, parts).root.parts) {
+    const Index mask = p.mask;
     const Index inv = ~mask & (dim(n) - 1);
-    const Index kdim = Index{1} << w;
-    std::vector<Index> offset(kdim);
-    for (Index t = 0; t < kdim; ++t) offset[t] = bits::deposit(t, mask);
-
-    // Remapped gates on the inner register.
-    std::vector<Gate> inner_gates;
-    for (std::size_t gi : part.gates) {
-      Gate g = c.gate(gi);
-      for (Qubit& q : g.qubits) q = slot_of[q];
-      inner_gates.push_back(std::move(g));
-    }
-
-    for (Index m = 0; m < (dim(n) >> w); ++m) {
+    const Index kdim = dim(p.width);
+    for (Index m = 0; m < (dim(n) >> p.width); ++m) {
       const Index base = bits::deposit(m, inv);
-      for (Index t = 0; t < kdim; ++t) {       // gather
-        cache.access(amp_addr(base | offset[t]));
+      for (Index t = 0, off = 0; t < kdim; ++t, off = (off - mask) & mask) {
+        cache.access(amp_addr(base | off));  // gather
         cache.access(inner_base + amp_addr(t));
       }
-      for (const Gate& g : inner_gates) replay_gate(g, w, inner_base, cache);
-      for (Index t = 0; t < kdim; ++t) {       // scatter
-        cache.access(inner_base + amp_addr(t));
-        cache.access(amp_addr(base | offset[t]));
+      for (const PartOp& op : p.ops)
+        replay_gate(c.gate(op.gate), op.qubits, p.width, inner_base, cache);
+      for (Index t = 0, off = 0; t < kdim; ++t, off = (off - mask) & mask) {
+        cache.access(inner_base + amp_addr(t));  // scatter
+        cache.access(amp_addr(base | off));
       }
     }
   }

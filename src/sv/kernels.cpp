@@ -19,8 +19,8 @@ Index spread(Index m, std::span<const Qubit> sorted_bits) {
   return m;
 }
 
-std::vector<Qubit> sorted_qubits(const std::vector<Qubit>& qs) {
-  std::vector<Qubit> sorted(qs);
+std::vector<Qubit> sorted_qubits(std::span<const Qubit> qs) {
+  std::vector<Qubit> sorted(qs.begin(), qs.end());
   std::sort(sorted.begin(), sorted.end());
   return sorted;
 }
@@ -92,7 +92,7 @@ void perm_cswap(StateVector& s, Qubit c, Qubit qa, Qubit qb) {
 // Gather/scatter through per-chunk buffers; shared by every tier (the
 // k >= 3 dense case is rare after fusion caps runs at 2-3 qubits).
 
-void apply_generic(StateVector& s, const std::vector<Qubit>& qs,
+void apply_generic(StateVector& s, std::span<const Qubit> qs,
                    const Matrix& u) {
   const unsigned k = static_cast<unsigned>(qs.size());
   HISIM_CHECK_MSG(k <= 16, "generic kernel limited to 16-qubit gates");
@@ -136,8 +136,11 @@ std::vector<cplx> diagonal_phases(const Gate& g) {
   return ph;
 }
 
-void apply_gate_on(StateVector& state, const Gate& g,
-                   const std::vector<Qubit>& qs, const KernelOps& ops) {
+}  // namespace
+
+void apply_gate(StateVector& state, const Gate& g, std::span<const Qubit> qs,
+                const KernelOps& ops) {
+  HISIM_CHECK(qs.size() == g.arity());
   for (Qubit q : qs) HISIM_CHECK(q < state.num_qubits());
   // Per-apply twin of the plan-level tier check (plan_validate.cpp): a
   // Simd table must never reach dispatch on a host that cannot run it.
@@ -211,12 +214,6 @@ void apply_gate_on(StateVector& state, const Gate& g,
     for (unsigned i = 0; i < nc; ++i) cmask |= Index{1} << qs[i];
     ops.apply_ctrl_1q(state, sorted, cmask, qs.back(), m.data().data());
   }
-}
-
-}  // namespace
-
-void apply_gate(StateVector& state, const Gate& gate, const KernelOps& ops) {
-  apply_gate_on(state, gate, gate.qubits, ops);
 }
 
 double gate_flops(const Gate& gate, unsigned num_qubits) {

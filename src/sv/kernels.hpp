@@ -1,5 +1,7 @@
 #pragma once
 
+#include <span>
+
 #include "circuit/gate.hpp"
 #include "sv/kernel_dispatch.hpp"
 #include "sv/state_vector.hpp"
@@ -20,9 +22,16 @@ namespace hisim::sv {
 ///  * generic k-qubit     — gather 2^k amplitudes, multiply, scatter
 /// `ops` selects the kernel tier (see kernel_dispatch.hpp); the default
 /// resolves KernelTier::Auto once. All kernels parallelize over amplitude
-/// blocks via parallel::for_range.
+/// blocks via parallel::for_range. `qubits` (same count and order as
+/// gate.qubits) places the gate elsewhere: how a compiled part applies a
+/// circuit gate on its own slots.
 void apply_gate(StateVector& state, const Gate& gate,
+                std::span<const Qubit> qubits,
                 const KernelOps& ops = kernel_ops());
+inline void apply_gate(StateVector& state, const Gate& gate,
+                       const KernelOps& ops = kernel_ops()) {
+  apply_gate(state, gate, gate.qubits, ops);
+}
 
 /// Counts the floating-point work of one gate application on an n-qubit
 /// state, matching what the kernels above actually execute:

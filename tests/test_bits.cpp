@@ -53,6 +53,21 @@ TEST(Bits, DepositExtractRoundTrip) {
   }
 }
 
+// Gather and scatter walk a part's mask with off = (off - mask) & mask:
+// starting at 0 it visits deposit(t, mask) for t = 0, 1, ... in order.
+TEST(Bits, SubmaskWalkEqualsDeposit) {
+  Rng rng(7);
+  for (int trial = 0; trial < 40; ++trial) {
+    Index mask = rng.next() & 0xFFFFFull;  // up to 20 bits
+    if (trial == 0) mask = 0;
+    const Index count = Index{1} << popcount(mask);
+    Index off = 0;
+    for (Index t = 0; t < count; ++t, off = (off - mask) & mask)
+      ASSERT_EQ(off, deposit(t, mask)) << "mask " << mask << " t " << t;
+    EXPECT_EQ(off, 0u);  // the walk wraps back to the start
+  }
+}
+
 TEST(Bits, DepositOrderedLowToHigh) {
   EXPECT_EQ(deposit(0b11, 0b1010), 0b1010u);
   EXPECT_EQ(deposit(0b01, 0b1010), 0b0010u);

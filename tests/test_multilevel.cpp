@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <cstring>
+#include <string>
 
 #include "circuits/generators.hpp"
 #include "common/parallel.hpp"
+#include "common/trace.hpp"
 #include "hisvsim/engine.hpp"
 #include "sv/hierarchical.hpp"
 #include "sv/simulator.hpp"
@@ -171,6 +174,69 @@ TEST(TwoLevelSim, AutoLevel2IsTheConstant) {
   for (const partition::Partitioning& inner : two.level2)
     for (const partition::Part& p : inner.parts)
       EXPECT_LE(p.working_set(), Options::kAutoLevel2Limit);
+}
+
+// One total: both levels' partitioning time, whichever path compiled it.
+TEST(TwoLevel, PartitionSecondsCoverBothLevels) {
+  const Circuit c = circuits::qft(10);
+  const dag::CircuitDag d(c);
+  partition::PartitionOptions po;
+  po.limit = 6;
+  const auto two = partition::partition_two_level(d, po, 3);
+  double sum = two.level1.partition_seconds;
+  for (const partition::Partitioning& inner : two.level2)
+    sum += inner.partition_seconds;
+  ASSERT_GT(two.total_inner_parts(), two.level1.num_parts());
+  EXPECT_EQ(two.partition_seconds(), sum);
+  const auto one = partition::partition_two_level(d, po, 0);
+  EXPECT_TRUE(one.level2.empty());
+  EXPECT_EQ(one.partition_seconds(), one.level1.partition_seconds);
+}
+
+/// Sum of the "dur" (µs) of every traced `partition` span, and of those
+/// whose `gates` arg is `gates` (the level-1 call), in seconds.
+std::pair<double, double> traced_partition_seconds(const std::string& json,
+                                                   std::size_t gates) {
+  const std::string key = "{\"name\": \"partition\"";
+  const std::string level1 = "\"gates\": " + std::to_string(gates) + "}";
+  double all = 0.0, first = 0.0;
+  for (std::size_t at = json.find(key); at != std::string::npos;
+       at = json.find(key, at + 1)) {
+    const std::size_t end = json.find('}', json.find("\"args\"", at)) + 1;
+    const double dur =
+        std::strtod(json.c_str() + json.find("\"dur\": ", at) + 7, nullptr);
+    all += dur * 1e-6;
+    if (json.compare(end - level1.size(), level1.size(), level1) == 0)
+      first += dur * 1e-6;
+  }
+  return {all, first};
+}
+
+// Multilevel plans and distributed plans with level2_limit > 0 report the
+// time of every partitioner call, not only the first level's: the plan's
+// partition_seconds() sits at the sum of the traced partition spans, far
+// from the level-1 span alone.
+TEST(TwoLevel, PlansReportBothLevelsOfPartitionTime) {
+  const Circuit c = circuits::qft(10);
+  for (Target t : {Target::Multilevel, Target::DistributedSerial}) {
+    Options o;
+    o.target = t;
+    o.limit = 6;
+    o.level2_limit = 3;
+    if (target_is_distributed(t)) o.process_qubits = 2;
+    trace::TraceSession::clear();
+    trace::TraceSession::start();
+    const ExecutionPlan plan = Engine::compile(c, o);
+    trace::TraceSession::stop();
+    const auto [all, level1] = traced_partition_seconds(
+        trace::TraceSession::chrome_json(), plan.circuit().num_gates());
+    trace::TraceSession::clear();
+    ASSERT_GT(plan.num_inner_parts(), plan.num_parts()) << target_name(t);
+    ASSERT_GT(level1, 0.0) << target_name(t);
+    ASSERT_GT(all - level1, 0.0) << target_name(t);
+    EXPECT_NEAR(plan.partition_seconds(), all, 0.5 * (all - level1))
+        << target_name(t);
+  }
 }
 
 }  // namespace

@@ -286,6 +286,10 @@ TEST(ParamSweep, BindingMatchesRecompileOnAllTargets) {
     const ExecutionPlan plan = Engine::compile(inst.circuit, o);
     EXPECT_TRUE(plan.parameterized()) << target_name(o.target);
     EXPECT_EQ(plan.param_names().size(), 4u) << target_name(o.target);
+    if (o.level2_limit > 0) {  // the plan's part trees have inner parts
+      EXPECT_GT(plan.num_inner_parts(), plan.num_parts())
+          << target_name(o.target);
+    }
     const std::uint64_t compiled = partition::partition_invocations();
     for (double point : {0.3, 1.1, 2.4}) {
       ExecOptions x;

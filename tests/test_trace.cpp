@@ -270,6 +270,37 @@ TEST(Trace, OptionsTraceStartsASession) {
   EXPECT_GT(TraceSession::event_count(), 0u);
 }
 
+// Execute has no untraced phase left: state initialisation and the norm
+// get their own spans, and the serial exchange backend emits one
+// exchange.shard span per destination shard, as the threaded one does.
+TEST(Trace, ExecutePhasesAndSerialExchangeHaveSpans) {
+  SessionGuard guard;
+  const Circuit c = circuits::make_by_name("qft", 8);
+  Options hier;
+  hier.target = Target::Hierarchical;
+  hier.limit = 5;
+  Options serial;
+  serial.target = Target::DistributedSerial;
+  serial.limit = 4;
+  serial.process_qubits = 2;
+  for (const Options& o : {hier, serial}) {
+    const ExecutionPlan plan = Engine::compile(c, o);
+    TraceSession::clear();
+    TraceSession::start();
+    (void)plan.execute();
+    TraceSession::stop();
+    const std::string json = TraceSession::chrome_json();
+    for (const char* span : {"state.init", "norm"})
+      EXPECT_NE(json.find(std::string("\"name\": \"") + span + "\""),
+                std::string::npos)
+          << span << " on " << target_name(o.target);
+  }
+  const std::string json = TraceSession::chrome_json();
+  EXPECT_NE(json.find("{\"name\": \"exchange.shard\", \"cat\": \"exchange\""),
+            std::string::npos);
+  EXPECT_NE(json.find("\"args\": {\"rank\": 3}"), std::string::npos);
+}
+
 TEST(Trace, TracingLeavesResultsBitIdentical) {
   Options o;
   o.target = Target::DistributedThreaded;
